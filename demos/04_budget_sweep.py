@@ -34,7 +34,7 @@ for eps in grid:
     mq_utility = exact_utility(model, build_mq(model, p, eps)[1]).exact
     _, relax_mech = build_3r_relaxation(model, p, eps)
     _, numerical_mech = build_3r_numerical(model, p, eps)
-    leak = exact_leakage(model, numerical_mech, per_side=False).leakage
+    leak = exact_leakage(model, numerical_mech).leakage
     print(
         f"{eps:>7.3f} {ceiling:>7.3f} {mq_utility:>6.2f} "
         f"{exact_utility(model, relax_mech).exact:>7.4f} "

@@ -1,4 +1,4 @@
-"""Design and exhaustive auditing of local redaction mechanisms for
+"""Design and exact auditing of local redaction mechanisms for
 Markov-correlated binary records.
 
 A local redaction mechanism releases each record unchanged or replaces it
@@ -9,11 +9,12 @@ released neighbour.  This package computes the influence measures that
 quantify such leakage, builds mechanisms that trade utility against a
 privacy budget (three-region randomized designs and a deterministic
 Markov-quilt window), bounds what any data-independent mechanism can
-achieve, and verifies every mechanism's exact worst-case leakage by
-brute-force enumeration of its output distribution.
+achieve, and verifies every mechanism's exact worst-case leakage by one
+pass over each side of the private record, comparing outputs by where
+they first release a record.
 """
 
-from .audit import LeakageReport, REDACTED, exact_leakage, leakage_lower_bound_check, output_probability
+from .audit import LeakageReport, REDACTED, exact_leakage, output_probability
 from .chain import MarkovModel, MultiStepTransition, Path, multi_step, sample_path, stationary_marginal
 from .errors import EnumerationCapError
 from .influence import (
@@ -73,7 +74,6 @@ __all__ = [
     "REDACTED",
     "exact_leakage",
     "output_probability",
-    "leakage_lower_bound_check",
     "UtilityReport",
     "MonteCarloEstimate",
     "exact_utility",

@@ -1,55 +1,46 @@
-"""Exact leakage verification by exhaustive enumeration of the output space.
+"""Exact leakage verification by one first-release pass over each side of p.
 
 The leakage of a mechanism about the private record is
 
     log  sup  Pr[Y = y | X_p = x] / Pr[Y = y | X_p = 1 - x]
 
 over supported outputs y and both values x; the mechanism is eps-private
-when this is at most eps.  This module evaluates the supremum exactly: it
-enumerates every output string over the per-position feasible symbols
-(a value x is feasible at t when r_t(x) < 1, the redaction symbol when
-some value redacts with positive probability) and computes each output's
-conditional probability by two directional passes away from p — given
-X_p, the left and right chain segments are independent, and backward
-transition probabilities equal forward ones under stationarity.
+when this is at most eps.  Given X_p, the left and right chain segments are
+independent (backward transition probabilities equal forward ones under
+stationarity), so an output's log-ratio is the emission term of its symbol
+at p plus one term per side.  Walking a side outward from p, the Markov
+property cancels everything after the first released record: the side's
+term depends only on that record's position and value, or on the whole
+side being redacted.  One forward pass per side evaluates these
+2 * (side length) + 1 first-release classes under both conditionings, and
+the supremum over all outputs reduces to the extremes of each side's
+log-ratios.  The cost is linear in n, with no size limit.
 
 An output supported under exactly one conditioning certifies infinite
 leakage: it occurs with positive marginal probability yet pins the
-private value.  Ratio comparisons happen in log space (differences of
-log-probabilities), and the reported witness re-evaluates to the reported
-leakage through :func:`output_probability`.
-
-The audit is this package's ground-truth oracle, so it refuses (rather
-than approximates) chains longer than the enumeration cap.
+private value.  The witness is the lexicographically smallest output
+(0 < 1 < ⊥) of a binding class combination, and the reported leakage is
+that witness re-evaluated through :func:`output_probability`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import MarkovModel
-from .errors import EnumerationCapError
-from .influence import SET_ENUMERATION_CAP, _set_influence_rows
 from .mechanisms import RedactionMechanism
 
-__all__ = [
-    "LeakageReport",
-    "REDACTED",
-    "output_probability",
-    "exact_leakage",
-    "leakage_lower_bound_check",
-]
+__all__ = ["LeakageReport", "REDACTED", "output_probability", "exact_leakage"]
 
 #: Symbol used for a redacted record in output strings.
 REDACTED = "⊥"
 
 _SYMBOLS = ("0", "1", REDACTED)
-
-#: Default largest chain the exhaustive audit will enumerate (3^cap outputs).
-DEFAULT_AUDIT_CAP = 12
+_CODES = {symbol: code for code, symbol in enumerate(_SYMBOLS)}
 
 
 @dataclass(frozen=True)
@@ -58,57 +49,27 @@ class LeakageReport:
 
     ``leakage`` is in nats and may be ``math.inf``; ``witness`` is an output
     string over {0, 1, ⊥} attaining it; ``outputs_enumerated`` counts the
-    feasible output strings inspected.  ``per_side`` holds the leakages of
-    the mechanism restricted to [1, p] and [p, n] (in that order) — the two
-    compose additively to bound the total.
+    output classes compared (supported first-release classes on the left,
+    times feasible symbols at p, times classes on the right).  ``per_side``
+    holds the leakages of the mechanism restricted to [1, p] and [p, n] (in
+    that order) — the two compose additively to bound the total.
     """
 
     leakage: float
     witness: str
     outputs_enumerated: int
-    per_side: tuple[float, float] | None = None
-
-
-def _check_pair(model: MarkovModel, mechanism: RedactionMechanism) -> None:
-    if model.n != mechanism.n:
-        raise ValueError(
-            f"model covers {model.n} records but the mechanism table has {mechanism.n} rows"
-        )
-
-
-def _weights(mechanism: RedactionMechanism) -> np.ndarray:
-    """W[t-1, symbol, state] = Pr[Y_t = symbol | X_t = state]."""
-    r = mechanism.redact_prob
-    w = np.zeros((mechanism.n, 3, 2))
-    w[:, 0, 0] = 1.0 - r[:, 0]
-    w[:, 1, 1] = 1.0 - r[:, 1]
-    w[:, 2, :] = r
-    return w
-
-
-def _feasible_symbols(mechanism: RedactionMechanism) -> list[list[int]]:
-    """Symbol codes with nonzero emission probability at each position."""
-    feasible = []
-    for row in mechanism.redact_prob:
-        symbols = [x for x in (0, 1) if row[x] < 1.0]
-        if row.max() > 0.0:
-            symbols.append(2)
-        feasible.append(symbols)
-    return feasible
+    per_side: tuple[float, float]
 
 
 def _parse_output(y, n: int) -> list[int]:
     if len(y) != n:
         raise ValueError(f"output must have length {n}, got {len(y)}")
-    codes = []
-    for symbol in y:
-        try:
-            codes.append(_SYMBOLS.index(symbol))
-        except ValueError:
-            raise ValueError(
-                f"output symbols must be one of {_SYMBOLS}, got {symbol!r}"
-            ) from None
-    return codes
+    try:
+        return [_CODES[symbol] for symbol in y]
+    except KeyError as err:
+        raise ValueError(
+            f"output symbols must be one of {_SYMBOLS}, got {err.args[0]!r}"
+        ) from None
 
 
 def output_probability(
@@ -117,212 +78,130 @@ def output_probability(
     """log Pr[Y = y | X_p = x_p], exactly; -inf for impossible outputs.
 
     ``y`` is a string (or sequence) over {0, 1, ⊥}.  Cost is linear in n:
-    one pass leftward and one rightward from p, folding the local emission
-    factor of each position into the chain transition.
+    one pass rightward and one leftward from p, folding the local emission
+    factor of each position into the chain transition.  The state is
+    renormalised at every step and the logs of the step masses are summed
+    exactly, so no chain length or tiny table entry underflows it.
     """
-    _check_pair(model, mechanism)
+    mechanism.check_model(model)
     if x_p not in (0, 1):
         raise ValueError(f"x_p must be 0 or 1, got {x_p!r}")
-    codes = _parse_output(y, model.n)
-    weights = _weights(mechanism)
+    codes = np.array(_parse_output(y, model.n))[:, None]
+    table = mechanism.redact_prob
+    # emit[t - 1, x] = Pr[Y_t = y_t | X_t = x]
+    emit = np.where(codes == 2, table, np.where(codes == np.arange(2), 1.0 - table, 0.0))
     p = mechanism.p
-    transition = model.transition_matrix()
+    (p00, p01), (p10, p11) = model.transition_matrix().tolist()
 
-    log_prob = 0.0
-    emit_p = weights[p - 1, codes[p - 1], x_p]
-    if emit_p <= 0.0:
+    if emit[p - 1, x_p] <= 0.0:
         return -math.inf
-    log_prob += math.log(emit_p)
-
-    for positions in (range(p, model.n), range(p - 2, -1, -1)):
-        state = np.zeros(2)
-        state[x_p] = 1.0
-        for t in positions:
-            state = (state @ transition) * weights[t, codes[t], :]
-            total = state.sum()
+    masses = array("d", [emit[p - 1, x_p]])
+    for side in (emit[p:], emit[: p - 1][::-1]):
+        s0, s1 = (1.0, 0.0) if x_p == 0 else (0.0, 1.0)
+        for e0, e1 in zip(side[:, 0].tolist(), side[:, 1].tolist()):
+            s0, s1 = (s0 * p00 + s1 * p10) * e0, (s0 * p01 + s1 * p11) * e1
+            total = s0 + s1
             if total <= 0.0:
                 return -math.inf
-            if total < 1e-280:  # rescale long chains away from the underflow floor
-                state /= total
-                log_prob += math.log(total)
-        remaining = state.sum()
-        if remaining <= 0.0:
-            return -math.inf
-        log_prob += math.log(remaining)
-    return log_prob
+            s0, s1 = s0 / total, s1 / total
+            masses.append(total)
+    return math.fsum(np.log(np.frombuffer(masses)))
 
 
-def _chain_output_probs(
-    model: MarkovModel,
-    weights: np.ndarray,
-    feasible: list[list[int]],
-    positions: list[int],
-) -> np.ndarray:
-    """Probabilities of every feasible partial output along ``positions``.
+def _side_log_ratios(transition: list, rows: np.ndarray) -> np.ndarray:
+    """log Pr[c | X_p = 0] - log Pr[c | X_p = 1] for each first-release class c.
 
-    Positions are walked outward from p.  Returns shape (2, K) indexed by
-    the conditioning value of X_p and the mixed-radix combination index
-    (first walked position most significant).
+    ``rows`` are one side's redaction rows, walked outward from p.  Class
+    2(k - 1) + v is "the k-th record is the first released, showing v"; the
+    last class is "every record redacted".  This order is also the
+    lexicographic order of the classes' smallest outputs.  Unsupported
+    classes are nan; a class supported under one conditioning only is
+    +-inf.  The ⊥-prefix states of both conditionings share one rescaling
+    per step, which cancels in every ratio.
     """
-    transition = model.transition_matrix()
-    state = np.zeros((2, 1, 2))
-    state[0, 0, 0] = 1.0
-    state[1, 0, 1] = 1.0
-    for t in positions:
-        stepped = state @ transition
-        emit = weights[t - 1][feasible[t - 1], :]  # (symbols, 2)
-        state = (stepped[:, :, None, :] * emit[None, None, :, :]).reshape(2, -1, 2)
-    return state.sum(axis=2)
+    (p00, p01), (p10, p11) = transition
+    a0, a1, b0, b1 = 1.0, 0.0, 0.0, 1.0  # prefix state under X_p = 0 (a), X_p = 1 (b)
+    reached = array("d")
+    for r0, r1 in zip(rows[:, 0].tolist(), rows[:, 1].tolist()):
+        u0, u1 = a0 * p00 + a1 * p10, a0 * p01 + a1 * p11
+        w0, w1 = b0 * p00 + b1 * p10, b0 * p01 + b1 * p11
+        reached.extend((u0, u1, w0, w1))
+        a0, a1, b0, b1 = u0 * r0, u1 * r1, w0 * r0, w1 * r1
+        scale = max(a0, a1, b0, b1)
+        if scale > 0.0:
+            a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
+    reached = np.frombuffer(reached).reshape(-1, 2, 2)  # (record, conditioning, value)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        released = np.log(reached[:, 0]) - np.log(reached[:, 1])
+        redacted = np.log(a0 + a1) - np.log(b0 + b1)
+    released[rows >= 1.0] = np.nan  # that value is never released there
+    return np.append(released.ravel(), redacted)
 
 
-def _lexicographic_min(rows: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest row of an integer matrix."""
-    keep = np.arange(rows.shape[0])
-    for j in range(rows.shape[1]):
-        col = rows[keep, j]
-        keep = keep[col == col.min()]
-        if keep.size == 1:
-            break
-    return rows[keep[0]]
+def _reach(base, side_extremes: tuple[float, float]):
+    """max over a side's classes c of |base + L_c|, from that side's (min L, max L)."""
+    low, high = side_extremes
+    return np.fmax(np.abs(base + low), np.abs(base + high))
 
 
-def _decode_outputs(
-    indices: np.ndarray,
-    feasible: list[list[int]],
-    left_positions: list[int],
-    right_positions: list[int],
-    p: int,
-    n: int,
-) -> np.ndarray:
-    """Symbol codes (m, n) for flat combination indices of the full product."""
-    m = indices.shape[0]
-    codes = np.empty((m, n), dtype=np.int8)
-    rest = indices
-    for t in reversed(right_positions):
-        options = np.array(feasible[t - 1], dtype=np.int8)
-        rest, digit = np.divmod(rest, len(options))
-        codes[:, t - 1] = options[digit]
-    options = np.array(feasible[p - 1], dtype=np.int8)
-    rest, digit = np.divmod(rest, len(options))
-    codes[:, p - 1] = options[digit]
-    for t in reversed(left_positions):
-        options = np.array(feasible[t - 1], dtype=np.int8)
-        rest, digit = np.divmod(rest, len(options))
-        codes[:, t - 1] = options[digit]
-    return codes
-
-
-def exact_leakage(
-    model: MarkovModel,
-    mechanism: RedactionMechanism,
-    cap: int = DEFAULT_AUDIT_CAP,
-    per_side: bool = True,
-) -> LeakageReport:
-    """Exact leakage of a mechanism by exhausting its output distribution.
-
-    Enumerates every output over the per-position feasible symbols, skips
-    those unsupported under both conditionings, and maximizes the absolute
-    log-probability difference; any output supported on one side only
-    yields infinite leakage.  Ties break to the lexicographically smallest
-    witness (symbol order 0 < 1 < ⊥).  With ``per_side`` the report also
-    carries the leakages of the mechanism restricted to [1, p] and [p, n].
-    """
-    _check_pair(model, mechanism)
-    if model.n > cap:
-        raise EnumerationCapError(
-            f"exact audit would enumerate 3^{model.n} outputs; the cap is n <= {cap}"
-        )
-    weights = _weights(mechanism)
-    feasible = _feasible_symbols(mechanism)
-    p = mechanism.p
-    left_positions = list(range(p - 1, 0, -1))
-    right_positions = list(range(p + 1, model.n + 1))
-    left = _chain_output_probs(model, weights, feasible, left_positions)
-    right = _chain_output_probs(model, weights, feasible, right_positions)
-    emit_p = weights[p - 1][feasible[p - 1], :].T  # (2, symbols at p)
-    probs = (
-        left[:, :, None, None] * emit_p[:, None, :, None] * right[:, None, None, :]
-    ).reshape(2, -1)
-    count = probs.shape[1]
-
-    positive_0 = probs[0] > 0.0
-    positive_1 = probs[1] > 0.0
-    one_sided = positive_0 ^ positive_1
-    if one_sided.any():
-        candidates = np.flatnonzero(one_sided)
+def _place_class(codes: np.ndarray, outward: np.ndarray, cls: int) -> None:
+    """Write a first-release class's ⊥-prefix and released value into ``codes``."""
+    k, value = divmod(cls, 2)
+    if k == outward.size:
+        codes[outward] = 2
     else:
-        both = positive_0 & positive_1
-        with np.errstate(divide="ignore"):
-            gaps = np.abs(np.log(probs[0, both]) - np.log(probs[1, both]))
-        supported_indices = np.flatnonzero(both)
-        candidates = supported_indices[gaps == gaps.max()]
-    witness_codes = _lexicographic_min(
-        _decode_outputs(candidates, feasible, left_positions, right_positions, p, model.n)
-    )
-    witness = "".join(_SYMBOLS[code] for code in witness_codes)
+        codes[outward[:k]] = 2
+        codes[outward[k]] = value
+
+
+def exact_leakage(model: MarkovModel, mechanism: RedactionMechanism) -> LeakageReport:
+    """Exact leakage of a mechanism, by first-release classes on each side of p.
+
+    The total is the max over feasible symbols s at p of
+    max(|e_s + min L + min R|, |e_s + max L + max R|), where e_s is the
+    emission log-ratio of s and L, R are the class log-ratios of the left
+    and right sides; each per-side leakage is the same with the other side
+    dropped.  Ties break to the lexicographically smallest witness (symbol
+    order 0 < 1 < ⊥): the ⊥-prefix, the released value, then the smallest
+    feasible symbol at every remaining position, each of which has positive
+    probability because every transition does.
+    """
+    mechanism.check_model(model)
+    table = mechanism.redact_prob
+    n, p = model.n, mechanism.p
+    transition = model.transition_matrix().tolist()
+    left = _side_log_ratios(transition, table[: p - 1][::-1])
+    right = _side_log_ratios(transition, table[p:])
+    r0, r1 = table[p - 1]
+    emit_p = np.array([[1.0 - r0, 0.0], [0.0, 1.0 - r1], [r0, r1]])  # symbols 0, 1, ⊥ at p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_p = np.log(emit_p[:, 0]) - np.log(emit_p[:, 1])
+        # fmin/fmax skip nan: the extremes over supported classes only
+        left_extremes = np.fmin.reduce(left), np.fmax.reduce(left)
+        right_extremes = np.fmin.reduce(right), np.fmax.reduce(right)
+        inner = left[:, None] + at_p  # (left class, symbol at p)
+        reach = _reach(inner, right_extremes)
+        bound = np.fmax.reduce(reach, axis=None)
+        left_class, symbol = np.unravel_index(np.argmax(reach == bound), reach.shape)
+        right_class = np.argmax(np.abs(inner[left_class, symbol] + right) == bound)
+        per_side = tuple(
+            float(np.fmax.reduce(_reach(at_p, extremes)))
+            for extremes in (left_extremes, right_extremes)
+        )
+
+    codes = np.where(table[:, 0] < 1.0, 0, np.where(table[:, 1] < 1.0, 1, 2))
+    codes[p - 1] = symbol
+    _place_class(codes, np.arange(p - 2, -1, -1), int(left_class))
+    _place_class(codes, np.arange(p, n), int(right_class))
+    witness = "".join(np.array(_SYMBOLS)[codes])
 
     log_0 = output_probability(model, mechanism, witness, 0)
     log_1 = output_probability(model, mechanism, witness, 1)
     leakage = math.inf if math.isinf(log_0) or math.isinf(log_1) else abs(log_0 - log_1)
-
-    sides = None
-    if per_side:
-        left_model = MarkovModel(n=p, alpha=model.alpha, beta=model.beta)
-        right_model = MarkovModel(n=model.n - p + 1, alpha=model.alpha, beta=model.beta)
-        sides = (
-            exact_leakage(left_model, mechanism.restrict(1, p, p), cap, False).leakage,
-            exact_leakage(
-                right_model, mechanism.restrict(p, model.n, p), cap, False
-            ).leakage,
-        )
+    supported = [int(np.count_nonzero(~np.isnan(v))) for v in (left, at_p, right)]
     return LeakageReport(
-        leakage=leakage, witness=witness, outputs_enumerated=count, per_side=sides
+        leakage=leakage,
+        witness=witness,
+        outputs_enumerated=math.prod(supported),
+        per_side=per_side,
     )
-
-
-def leakage_lower_bound_check(
-    model: MarkovModel,
-    mechanism: RedactionMechanism,
-    released,
-    slack: float = 1e-9,
-) -> bool:
-    """Check the influence lower bounds on the audited leakage.
-
-    For any local redaction mechanism, every releasable joint realization
-    of ``released`` lower-bounds the leakage by its pointwise set
-    influence; when the mechanism is data-independent on ``released``
-    (r_t(0) = r_t(1) < 1 there), the max influence of the whole set is a
-    lower bound too.  Returns True when the exact audit respects both
-    bounds within ``slack``.
-    """
-    indices = sorted(set(released))
-    table = mechanism.redact_prob
-    for t in indices:
-        if not (1 <= t <= mechanism.n):
-            raise ValueError(f"released index {t} outside [1, {mechanism.n}]")
-        if t == mechanism.p:
-            raise ValueError("the private record can never be released")
-        if table[t - 1].min() >= 1.0:
-            raise ValueError(f"record {t} is always redacted, never released")
-    if len(indices) > SET_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"lower-bound check over {len(indices)} records needs "
-            f"2^{len(indices)} realizations; the cap is {SET_ENUMERATION_CAP}"
-        )
-    exact = exact_leakage(model, mechanism, per_side=False).leakage
-    if not indices:
-        return exact + slack >= 0.0
-    bits, influence = _set_influence_rows(model, mechanism.p, indices)
-    releasable = np.ones(bits.shape[0], dtype=bool)
-    for j, t in enumerate(indices):
-        allowed = [x for x in (0, 1) if table[t - 1, x] < 1.0]
-        releasable &= np.isin(bits[:, j], allowed)
-    pointwise_bound = float(influence[releasable].max())
-    if exact + slack < pointwise_bound:
-        return False
-    data_independent = all(
-        table[t - 1, 0] == table[t - 1, 1] and table[t - 1, 0] < 1.0 for t in indices
-    )
-    if data_independent and exact + slack < float(influence.max()):
-        return False
-    return True

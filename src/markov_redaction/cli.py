@@ -8,7 +8,8 @@ redaction-profile  per-record redaction probabilities of the mechanisms
 audit              exact leakage audit of a mechanism file
 example1           self-check on the two-record worked example
 
-Exit codes: 0 success/pass, 1 audit fail, 2 usage error, 3 cap/limit error.
+Exit codes: 0 success/pass, 1 audit fail, 2 usage error, 3 a distance search
+that finds no answer within its limit of 10^6 records.
 All output is deterministic byte-for-byte given identical flags and seed;
 files are written atomically (temp file + rename).
 """
@@ -119,7 +120,6 @@ class SweepSpec:
     grid_steps: int = DEFAULT_GRID_STEPS
     trials: int = 0
     seed: int = 0
-    cap: int = 12
 
     def __post_init__(self) -> None:
         if not self.mechanisms:
@@ -174,15 +174,13 @@ def run_utility_curve(spec: SweepSpec) -> str:
             _, mech = build_3r_relaxation(model, p, eps)
             tables[KIND_RELAX] = mech
             row.append(exact_utility(model, mech).exact)
-            leak = exact_leakage(model, mech, cap=spec.cap, per_side=False).leakage
+            leak = exact_leakage(model, mech).leakage
             audits += [leak, int(leak <= eps + PASS_SLACK)]
         if KIND_NUMERICAL in spec.mechanisms:
-            _, mech = build_3r_numerical(
-                model, p, eps, grid_steps=spec.grid_steps, audit_cap=spec.cap
-            )
+            _, mech = build_3r_numerical(model, p, eps, grid_steps=spec.grid_steps)
             tables[KIND_NUMERICAL] = mech
             row.append(exact_utility(model, mech).exact)
-            leak = exact_leakage(model, mech, cap=spec.cap, per_side=False).leakage
+            leak = exact_leakage(model, mech).leakage
             audits += [leak, int(leak <= eps + PASS_SLACK)]
         row += audits
         if spec.trials > 0:
@@ -230,7 +228,6 @@ def _cmd_utility_curve(args) -> int:
         grid_steps=args.grid_steps,
         trials=args.trials,
         seed=args.seed,
-        cap=args.cap,
     )
     _emit(run_utility_curve(spec), args.out)
     return EXIT_OK
@@ -254,9 +251,7 @@ def _cmd_redaction_profile(args) -> int:
         elif kind == KIND_RELAX:
             _, mech = build_3r_relaxation(model, args.p, args.eps, split)
         else:
-            _, mech = build_3r_numerical(
-                model, args.p, args.eps, split, grid_steps=args.grid_steps, audit_cap=args.cap
-            )
+            _, mech = build_3r_numerical(model, args.p, args.eps, split, grid_steps=args.grid_steps)
         for t in range(1, model.n + 1):
             rows.append([t, kind, mech.redact_prob[t - 1, 0], mech.redact_prob[t - 1, 1]])
     _emit(_csv(rows), args.out)
@@ -265,7 +260,7 @@ def _cmd_redaction_profile(args) -> int:
 
 def _cmd_audit(args) -> int:
     model, mechanism, kind = read_mechanism(args.mechanism_file)
-    report = exact_leakage(model, mechanism, cap=args.cap)
+    report = exact_leakage(model, mechanism)
     passed = report.leakage <= args.eps + PASS_SLACK
     left, right = report.per_side
     lines = [
@@ -358,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--grid-steps", type=int, default=DEFAULT_GRID_STEPS)
     curve.add_argument("--trials", type=int, default=0, help="Monte-Carlo trials per row (0 = off)")
     curve.add_argument("--seed", type=int, default=0)
-    curve.add_argument("--cap", type=int, default=12, help="exact-audit enumeration cap")
     curve.add_argument("--out", default=None)
     curve.set_defaults(handler=_cmd_utility_curve)
 
@@ -373,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mechanism to include (repeatable; default all three)",
     )
     profile.add_argument("--grid-steps", type=int, default=DEFAULT_GRID_STEPS)
-    profile.add_argument("--cap", type=int, default=12)
     profile.add_argument("--out", default=None)
     profile.set_defaults(handler=_cmd_redaction_profile)
 
@@ -382,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument("mechanism_file", help="mechanism file path")
     audit.add_argument("--eps", type=float, required=True, help="privacy budget to certify")
-    audit.add_argument("--cap", type=int, default=12)
     audit.set_defaults(handler=_cmd_audit)
 
     example = commands.add_parser(

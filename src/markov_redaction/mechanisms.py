@@ -89,6 +89,13 @@ class RedactionMechanism:
         table.setflags(write=False)
         object.__setattr__(self, "redact_prob", table)
 
+    def check_model(self, model: MarkovModel) -> None:
+        """Raise ValueError unless ``model`` covers exactly this table's records."""
+        if model.n != self.n:
+            raise ValueError(
+                f"model covers {model.n} records but the mechanism table has {self.n} rows"
+            )
+
     @property
     def released_indices(self) -> frozenset[int]:
         """Indices with any chance of release: min_x r_t(x) < 1."""
@@ -316,7 +323,6 @@ def _side_leakage(
     regions: Regions,
     side: int,
     q_side: float,
-    audit_cap: int,
 ) -> float:
     """Exact leakage of the chain restricted to one side of p, at constant q."""
     from .audit import exact_leakage  # deferred: audit depends on this module
@@ -326,7 +332,7 @@ def _side_leakage(
     full = _assemble_table(model, p, regions, {**{t: 1.0 for t in regions.medium}, **q})
     side_model = MarkovModel(n=hi - lo + 1, alpha=model.alpha, beta=model.beta)
     side_mech = full.restrict(lo, hi, p)
-    return exact_leakage(side_model, side_mech, cap=audit_cap, per_side=False).leakage
+    return exact_leakage(side_model, side_mech).leakage
 
 
 def build_3r_numerical(
@@ -335,7 +341,6 @@ def build_3r_numerical(
     eps: float,
     split: tuple[float, float] | None = None,
     grid_steps: int = DEFAULT_GRID_STEPS,
-    audit_cap: int = 12,
 ) -> tuple[ThreeRDesign, RedactionMechanism]:
     """Three-region mechanism with the smallest exactly-audited side-constant q.
 
@@ -364,7 +369,7 @@ def build_3r_numerical(
         found = None
         for i in range(grid_steps + 1):
             candidate = i / grid_steps
-            leak = _side_leakage(model, p, regions, side, candidate, audit_cap)
+            leak = _side_leakage(model, p, regions, side, candidate)
             if leak <= eps_side + _FEASIBILITY_SLACK:
                 found = candidate
                 break
@@ -376,7 +381,7 @@ def build_3r_numerical(
             )
         q_relax = relax_design.q[medium[0]]
         if q_relax < found:
-            leak = _side_leakage(model, p, regions, side, q_relax, audit_cap)
+            leak = _side_leakage(model, p, regions, side, q_relax)
             if leak <= eps_side + _FEASIBILITY_SLACK:
                 found = q_relax
         side_q[side] = found
@@ -387,10 +392,7 @@ def build_3r_numerical(
     }
     mechanism = _assemble_table(model, p, regions, q)
     step = 1.0 / grid_steps
-    while (
-        exact_leakage(model, mechanism, cap=audit_cap, per_side=False).leakage
-        > eps + _FEASIBILITY_SLACK
-    ):
+    while exact_leakage(model, mechanism).leakage > eps + _FEASIBILITY_SLACK:
         # Safety net only: per-side budgets compose additively, so the joint
         # audit is expected to pass on the first try.
         sides = sorted(side_q, key=lambda s: side_q[s])

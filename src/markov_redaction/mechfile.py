@@ -35,8 +35,7 @@ def dumps_mechanism(
     model: MarkovModel, mechanism: RedactionMechanism, kind: str
 ) -> str:
     """Serialize to the mechanism file text (valid JSON, full precision)."""
-    if model.n != mechanism.n:
-        raise ValueError("model and mechanism disagree on the number of records")
+    mechanism.check_model(model)
     rows = ",\n".join(
         f"    [{_fmt(r0)}, {_fmt(r1)}]" for r0, r1 in mechanism.redact_prob
     )

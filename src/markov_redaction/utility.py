@@ -53,10 +53,7 @@ def _release_probabilities(
 
 def exact_utility(model: MarkovModel, mechanism: RedactionMechanism) -> UtilityReport:
     """Closed-form utility from the stationary marginal; no sampling."""
-    if model.n != mechanism.n:
-        raise ValueError(
-            f"model covers {model.n} records but the mechanism table has {mechanism.n} rows"
-        )
+    mechanism.check_model(model)
     per_record = _release_probabilities(model, mechanism)
     per_record.setflags(write=False)
     return UtilityReport(exact=float(per_record.mean()), per_record=per_record)
@@ -72,10 +69,7 @@ def monte_carlo_utility(
     isolation.  The standard error is the sample standard deviation of the
     per-path utilities divided by sqrt(trials).
     """
-    if model.n != mechanism.n:
-        raise ValueError(
-            f"model covers {model.n} records but the mechanism table has {mechanism.n} rows"
-        )
+    mechanism.check_model(model)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
     path_stream, redact_stream = [

@@ -22,7 +22,6 @@ from markov_redaction import (
     exact_utility,
     influence_high,
     influence_low,
-    leakage_lower_bound_check,
     max_influence_set,
     monte_carlo_utility,
     multi_step,
@@ -30,7 +29,7 @@ from markov_redaction import (
     three_r_utility,
 )
 
-from oracles import MODEL_GRID, matrix_power_ratios
+from oracles import MODEL_GRID, leakage_lower_bound_check, matrix_power_ratios
 
 AUDIT_SLACK = 1e-9
 
@@ -117,8 +116,8 @@ def test_criterion_2_redaction_profile_reproduction():
         numerical_design, numerical_mech = build_3r_numerical(model, 1, 1.0)
         assert abs(numerical_design.q[2] - 0.547547547547548) <= 1 / 999
         assert abs(numerical_design.q[3] - 0.547547547547548) <= 1 / 999
-        assert exact_leakage(model, relax_mech, per_side=False).leakage <= 1.0 + AUDIT_SLACK
-        assert exact_leakage(model, numerical_mech, per_side=False).leakage <= 1.0 + AUDIT_SLACK
+        assert exact_leakage(model, relax_mech).leakage <= 1.0 + AUDIT_SLACK
+        assert exact_leakage(model, numerical_mech).leakage <= 1.0 + AUDIT_SLACK
     crit.assert_in_budget()
 
 
@@ -139,9 +138,9 @@ def test_criterion_3_utility_ordering_over_budget_sweep():
             assert numerical_utility >= relax_utility - 1e-9
             assert relax_utility >= mq_utility - 1e-9
             assert mq_utility <= dim + 1e-9
-            assert exact_leakage(model, relax_mech, per_side=False).leakage <= eps + AUDIT_SLACK
+            assert exact_leakage(model, relax_mech).leakage <= eps + AUDIT_SLACK
             assert (
-                exact_leakage(model, numerical_mech, per_side=False).leakage
+                exact_leakage(model, numerical_mech).leakage
                 <= eps + AUDIT_SLACK
             )
             if relax_utility > dim:
@@ -188,11 +187,11 @@ def test_criterion_5_privacy_certification_grid():
             numerical_design, numerical_mech,
             mq_mech,
         ) in _grid_builds():
-            relax_leak = exact_leakage(model, relax_mech, per_side=False).leakage
+            relax_leak = exact_leakage(model, relax_mech).leakage
             assert relax_leak <= eps + AUDIT_SLACK
             assert relax_leak <= relax_design.relaxed_leakage_bound + AUDIT_SLACK
-            assert exact_leakage(model, numerical_mech, per_side=False).leakage <= eps + AUDIT_SLACK
-            assert exact_leakage(model, mq_mech, per_side=False).leakage <= eps + AUDIT_SLACK
+            assert exact_leakage(model, numerical_mech).leakage <= eps + AUDIT_SLACK
+            assert exact_leakage(model, mq_mech).leakage <= eps + AUDIT_SLACK
             for mech in (relax_mech, numerical_mech, mq_mech):
                 released = sorted(mech.released_indices)
                 assert leakage_lower_bound_check(model, mech, released)

@@ -12,15 +12,21 @@ from markov_redaction import (
     RedactionMechanism,
     build_3r_relaxation,
     build_mq,
+    compute_regions,
     exact_leakage,
     influence_high,
-    leakage_lower_bound_check,
     max_influence_set,
     output_probability,
     pointwise_influence,
 )
 
-from oracles import all_outputs, brute_exact_leakage, brute_output_probability
+from oracles import (
+    all_outputs,
+    brute_exact_leakage,
+    brute_output_probability,
+    enumerated_leakage,
+    leakage_lower_bound_check,
+)
 
 EXAMPLE_MODEL = MarkovModel(2, 0.25, 0.5)
 EXAMPLE_MECH = RedactionMechanism(n=2, p=1, redact_prob=[[1.0, 1.0], [0.125, 1.0]])
@@ -28,6 +34,24 @@ EXAMPLE_MECH = RedactionMechanism(n=2, p=1, redact_prob=[[1.0, 1.0], [0.125, 1.0
 
 def full_redaction(n, p=1):
     return RedactionMechanism(n=n, p=p, redact_prob=np.ones((n, 2)))
+
+
+def random_model(rng, n):
+    alpha = float(np.exp(rng.uniform(math.log(0.01), math.log(0.9))))
+    return MarkovModel(n, alpha, float(rng.uniform(alpha, 0.99)))
+
+
+def leakages(report):
+    return (report.leakage, *report.per_side)
+
+
+def assert_leakages_match(report, want, tol=1e-12):
+    """Total and per-side leakages within tol; infinities must match exactly."""
+    for got, expected in zip(leakages(report), want, strict=True):
+        if math.isinf(got) or math.isinf(expected):
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, abs=tol)
 
 
 def random_mechanism(rng, n, p, force_private=True):
@@ -84,6 +108,23 @@ def test_output_probability_against_joint_oracle():
                 assert got == pytest.approx(math.log(expected), abs=1e-10)
 
 
+def test_output_probability_survives_a_tiny_factor_late_in_a_long_chain():
+    # the state is already near 2^-930 when row 931's 1e-60 multiplies it
+    n = 1200
+    table = np.full((n, 2), 0.5)
+    table[0] = 1.0
+    table[930] = 1e-60
+    model = MarkovModel(n, 0.25, 0.5)
+    mech = RedactionMechanism(n=n, p=1, redact_prob=table)
+    # every other row redacts with probability 1/2 whatever the record's value
+    expected = (n - 2) * math.log(0.5) + math.log(1e-60)
+    for x_p in (0, 1):
+        got = output_probability(model, mech, REDACTED * n, x_p)
+        assert got == pytest.approx(expected, rel=1e-13)
+    # record 2 shows its value half the time, so distance 1 binds
+    assert exact_leakage(model, mech).leakage == pytest.approx(influence_high(model, 1), abs=1e-12)
+
+
 def test_output_probability_normalizes():
     rng = np.random.default_rng(11)
     cases = [
@@ -137,7 +178,7 @@ def test_exact_leakage_matches_definition_oracle():
         model = MarkovModel(n, 0.1, 0.6)
         mech = random_mechanism(rng, n, p)
         expected = brute_exact_leakage(model, mech)
-        got = exact_leakage(model, mech, per_side=False).leakage
+        got = exact_leakage(model, mech).leakage
         if math.isinf(expected):
             assert math.isinf(got)
         else:
@@ -151,7 +192,7 @@ def test_witness_reproduces_reported_leakage_bit_for_bit():
     model10 = MarkovModel(10, 0.01, 0.8)
     cases.append((model10, build_3r_relaxation(model10, 1, 1.0)[1]))
     for model, mech in cases:
-        report = exact_leakage(model, mech, per_side=False)
+        report = exact_leakage(model, mech)
         log_0 = output_probability(model, mech, report.witness, 0)
         log_1 = output_probability(model, mech, report.witness, 1)
         recomputed = math.inf if math.isinf(log_0) or math.isinf(log_1) else abs(log_0 - log_1)
@@ -181,7 +222,7 @@ def test_per_side_additivity_and_mq_equality():
 def test_raising_redaction_never_raises_leakage():
     model = MarkovModel(6, 0.01, 0.8)
     _, mech = build_3r_relaxation(model, 1, 0.5)
-    base = exact_leakage(model, mech, per_side=False).leakage
+    base = exact_leakage(model, mech).leakage
     table = np.array(mech.redact_prob)
     for t in range(1, 7):
         for x in (0, 1):
@@ -191,20 +232,112 @@ def test_raising_redaction_never_raises_leakage():
                 bumped = np.array(table)
                 bumped[t - 1, x] = bumped_value
                 leak = exact_leakage(
-                    model,
-                    RedactionMechanism(n=6, p=1, redact_prob=bumped),
-                    per_side=False,
+                    model, RedactionMechanism(n=6, p=1, redact_prob=bumped)
                 ).leakage
                 assert leak <= base + 1e-9
                 assert leak <= base + pointwise_influence(model, 1, t, x) + 1e-9
 
 
-def test_enumeration_cap():
+def test_exact_leakage_has_no_size_cap():
+    # n = 13 is past the old 3^n enumeration cap; the enumerator still agrees
     model = MarkovModel(13, 0.25, 0.5)
-    with pytest.raises(EnumerationCapError):
-        exact_leakage(model, full_redaction(13))
-    # a raised cap admits the same chain
-    assert exact_leakage(model, full_redaction(13), cap=13).leakage == 0.0
+    report = exact_leakage(model, full_redaction(13))
+    assert report.leakage == 0.0
+    assert report.witness == REDACTED * 13
+    rng = np.random.default_rng(13)
+    for p in (1, 7, 13):
+        mech = random_mechanism(rng, 13, p)
+        assert_leakages_match(exact_leakage(model, mech), leakages(enumerated_leakage(model, mech)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_leakage_agrees_with_oracles_on_random_tables(seed):
+    # free entries, sprinkled 0/1 entries, and every third table a broken private row
+    rng = np.random.default_rng(100 + seed)
+    for trial in range(60):
+        n = int(rng.integers(1, 13))
+        p = int(rng.integers(1, n + 1))
+        model = random_model(rng, n)
+        mech = random_mechanism(rng, n, p, force_private=trial % 3 != 0)
+        report = exact_leakage(model, mech)
+        assert_leakages_match(report, leakages(enumerated_leakage(model, mech)))
+        if n <= 5:
+            left_model = MarkovModel(p, model.alpha, model.beta)
+            right_model = MarkovModel(n - p + 1, model.alpha, model.beta)
+            brute = (
+                brute_exact_leakage(model, mech),
+                brute_exact_leakage(left_model, mech.restrict(1, p, p)),
+                brute_exact_leakage(right_model, mech.restrict(p, n, p)),
+            )
+            assert_leakages_match(report, brute, tol=1e-10)
+
+
+LONG = 2000
+
+
+def test_long_chain_medium_region_at_q_zero_and_one():
+    model = MarkovModel(LONG, 0.01, 0.8)
+    regions = compute_regions(model, 1, 0.0, 1.0)
+    medium = np.array(regions.medium_by_distance(1))
+    small = np.array(sorted(regions.small))
+    assert medium.size and small.size
+    # q = 1 redacts all of medium, so the nearest small record binds;
+    # q = 0 makes a medium record's output reveal its value, so the nearest one binds
+    for q, nearest in ((1.0, small[0]), (0.0, medium[0])):
+        table = np.ones((LONG, 2))
+        table[small - 1] = 0.0
+        table[medium - 1, 0] = q
+        report = exact_leakage(model, RedactionMechanism(n=LONG, p=1, redact_prob=table))
+        assert report.leakage == pytest.approx(influence_high(model, nearest - 1), abs=1e-10)
+        assert report.per_side[1] == pytest.approx(report.leakage, abs=1e-10)
+
+
+def test_long_chain_full_redaction_leaks_nothing():
+    for alpha, beta in ((0.25, 0.5), (0.1, 0.7)):
+        model = MarkovModel(LONG, alpha, beta)
+        report = exact_leakage(model, full_redaction(LONG, p=LONG // 3))
+        assert report.witness == REDACTED * LONG
+        assert report.outputs_enumerated == 1
+        assert report.leakage == pytest.approx(0.0, abs=1e-12)
+        assert report.per_side == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
+def test_long_chain_one_sided_support_is_infinite():
+    model = MarkovModel(LONG, 0.1, 0.5)
+    p = LONG // 2
+    for private_row in ((0.5, 1.0), (1.0, 0.0), (0.3, 0.0)):
+        table = np.full((LONG, 2), 0.5)
+        table[p - 1] = private_row
+        mech = RedactionMechanism(
+            n=LONG, p=p, redact_prob=table, enforce_private_redaction=False
+        )
+        report = exact_leakage(model, mech)
+        assert report.leakage == math.inf
+        assert report.per_side == (math.inf, math.inf)
+        log_0 = output_probability(model, mech, report.witness, 0)
+        log_1 = output_probability(model, mech, report.witness, 1)
+        assert math.isinf(log_0) != math.isinf(log_1)
+
+
+def test_long_chain_mirror_symmetry():
+    rng = np.random.default_rng(31)
+    model = MarkovModel(LONG, 0.05, 0.6)
+    for p in (1, 700, LONG):
+        mech = random_mechanism(rng, LONG, p)
+        report = exact_leakage(model, mech)
+        mirror = exact_leakage(model, mech.mirrored())
+        assert mirror.leakage == pytest.approx(report.leakage, abs=1e-11)
+        assert mirror.per_side == report.per_side[::-1]
+        assert mirror.outputs_enumerated == report.outputs_enumerated
+
+
+def test_mq_window_at_a_million_records():
+    model = MarkovModel(10**6, 0.01, 0.8)
+    plan, mech = build_mq(model, 1, 1.0)
+    expected = influence_high(model, plan.delta_right + 1)  # nearest released distance
+    report = exact_leakage(model, mech)
+    assert report.leakage == pytest.approx(expected, abs=1e-10)
+    assert report.per_side == (0.0, pytest.approx(expected, abs=1e-14))
 
 
 def test_lower_bound_check_worked_example():
@@ -222,7 +355,7 @@ def test_lower_bound_check_mq_near_equality():
     model = MarkovModel(10, 0.01, 0.8)
     _, mech = build_mq(model, 1, 1.0)
     assert leakage_lower_bound_check(model, mech, [5])
-    leak = exact_leakage(model, mech, per_side=False).leakage
+    leak = exact_leakage(model, mech).leakage
     assert leak == pytest.approx(influence_high(model, 4), abs=1e-9)
     # the full released suffix is a data-independent set: corollary bound holds too
     assert leakage_lower_bound_check(model, mech, range(5, 11))

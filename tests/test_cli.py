@@ -1,10 +1,19 @@
 import math
 
-import numpy as np
 import pytest
 
-from markov_redaction import MarkovModel, RedactionMechanism, build_3r_relaxation, influence_high, influence_low, write_mechanism
+from markov_redaction import (
+    MarkovModel,
+    RedactionMechanism,
+    build_3r_numerical,
+    build_3r_relaxation,
+    influence_high,
+    influence_low,
+    write_mechanism,
+)
 from markov_redaction.cli import main
+
+from oracles import enumerated_leakage
 
 
 def run_cli(capsys, *argv):
@@ -107,7 +116,7 @@ def test_utility_curve_values_rederivable(capsys):
     model = MarkovModel(6, 0.01, 0.8)
     _, mech = build_3r_relaxation(model, 1, 0.5)
     assert float(record["nu_3r_relax"]) == exact_utility(model, mech).exact
-    assert float(record["leak_3r_relax"]) == exact_leakage(model, mech, per_side=False).leakage
+    assert float(record["leak_3r_relax"]) == exact_leakage(model, mech).leakage
 
 
 def test_utility_curve_default_grid_monotone_columns(capsys):
@@ -149,11 +158,20 @@ def test_utility_curve_guards(capsys):
         "--n", "4", "--p", "1", "--eps", "1.0", "--eps", "0.5",
     )
     assert code == 2 and "increasing" in err
-    code, _, err = run_cli(
+    # n = 13 is past the old enumeration cap: the sweep runs and its audits are exact
+    code, out, _ = run_cli(
         capsys, "utility-curve", "--alpha", "0.25", "--beta", "0.5",
         "--n", "13", "--p", "1", "--eps", "1.0",
     )
-    assert code == 3 and "cap" in err
+    assert code == 0
+    header, rows = parse_csv(out)
+    record = dict(zip(header, rows[0]))
+    model = MarkovModel(13, 0.25, 0.5)
+    for kind, builder in (("relax", build_3r_relaxation), ("numerical", build_3r_numerical)):
+        _, mech = builder(model, 1, 1.0)
+        want = enumerated_leakage(model, mech, per_side=False).leakage
+        assert float(record[f"leak_3r_{kind}"]) == pytest.approx(want, abs=1e-12)
+        assert record[f"pass_3r_{kind}"] == "1"
 
 
 def test_redaction_profile_published_values(capsys):
@@ -213,12 +231,18 @@ def test_audit_command_error_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "audit", str(bad), "--eps", "0.5")
     assert code == 2 and "line" in err
 
+    # n = 13 is past the old enumeration cap: the audit passes with exact leakages
     big_model = MarkovModel(13, 0.25, 0.5)
-    big = RedactionMechanism(n=13, p=1, redact_prob=np.ones((13, 2)))
+    _, big = build_3r_relaxation(big_model, 3, 1.0)
     path = tmp_path / "big.json"
-    write_mechanism(path, big_model, big, "wall")
-    code, _, err = run_cli(capsys, "audit", str(path), "--eps", "0.5")
-    assert code == 3 and "cap" in err
+    write_mechanism(path, big_model, big, "3r-relaxation")
+    code, out, _ = run_cli(capsys, "audit", str(path), "--eps", "1.0")
+    assert code == 0 and "result: PASS" in out
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    want = enumerated_leakage(big_model, big)
+    assert float(fields["leakage"]) == pytest.approx(want.leakage, abs=1e-12)
+    sides = (float(fields["left_leakage"]), float(fields["right_leakage"]))
+    assert sides == pytest.approx(want.per_side, abs=1e-12)
 
 
 def test_example1_command(capsys):

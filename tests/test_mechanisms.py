@@ -60,13 +60,13 @@ def test_relaxation_reproduces_published_profile():
     assert (mech.redact_prob[0] == 1.0).all()
     assert mech.redact_prob[1, 0] == design.q[2] and mech.redact_prob[1, 1] == 1.0
     assert (mech.redact_prob[3:] == 0.0).all()
-    assert exact_leakage(FIG_MODEL, mech, per_side=False).leakage <= 1.0 + 1e-9
+    assert exact_leakage(FIG_MODEL, mech).leakage <= 1.0 + 1e-9
 
 
 def test_relaxation_relaxed_bound_saturates_budget():
     design, mech = build_3r_relaxation(FIG_MODEL, 1, 1.0)
     assert design.relaxed_leakage_bound == pytest.approx(1.0, abs=1e-9)
-    leak = exact_leakage(FIG_MODEL, mech, per_side=False).leakage
+    leak = exact_leakage(FIG_MODEL, mech).leakage
     assert leak <= design.relaxed_leakage_bound + 1e-9
 
 
@@ -111,7 +111,7 @@ def test_numerical_reproduces_published_profile():
     design, mech = build_3r_numerical(FIG_MODEL, 1, 1.0)
     assert design.q[2] == design.q[3] == pytest.approx(547 / 999, abs=1e-12)
     assert abs(design.q[2] - 0.547547547547548) <= 1 / 999
-    assert exact_leakage(FIG_MODEL, mech, per_side=False).leakage <= 1.0 + 1e-9
+    assert exact_leakage(FIG_MODEL, mech).leakage <= 1.0 + 1e-9
 
 
 def test_numerical_two_record_grid_minimum():
@@ -134,7 +134,7 @@ def test_numerical_huge_budget_releases_everything_but_p():
     expected = np.zeros((6, 2))
     expected[1] = 1.0
     assert np.array_equal(mech.redact_prob, expected)
-    assert exact_leakage(model, mech, per_side=False).leakage <= eps
+    assert exact_leakage(model, mech).leakage <= eps
 
 
 def test_numerical_respects_custom_grid():
@@ -151,7 +151,7 @@ def test_mq_one_sided_window():
     assert (plan.delta_left, plan.delta_right) == (0, 3)
     assert plan.window == (1, 4)
     assert exact_utility(FIG_MODEL, mech).exact == pytest.approx(0.6, abs=1e-12)
-    assert exact_leakage(FIG_MODEL, mech, per_side=False).leakage <= 1.0 + 1e-9
+    assert exact_leakage(FIG_MODEL, mech).leakage <= 1.0 + 1e-9
 
 
 def test_mq_symmetric_window():

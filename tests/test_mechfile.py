@@ -58,6 +58,8 @@ def test_bad_rows_and_types_rejected(tmp_path):
     path.write_text(good.replace('"n": 2', '"n": 3'), encoding="utf-8")
     with pytest.raises(ValueError, match="rows"):
         read_mechanism(path)
+    with pytest.raises(ValueError, match="rows"):
+        dumps_mechanism(MarkovModel(3, 0.25, 0.5), mech, "x")
 
     path.write_text(good.replace('"n": 2', '"n": true'), encoding="utf-8")
     with pytest.raises(ValueError, match="wrong type"):
