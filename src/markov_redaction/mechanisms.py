@@ -9,7 +9,7 @@ gives Pr[Y_t = redacted | X_t = x].  Three constructions are provided.
   randomize medium: a medium record showing the high-influence value 1 is
   always redacted, while the value 0 is redacted with probability q_t.
   ``build_3r_relaxation`` picks the side-constant q from a closed-form
-  relaxation of the leakage; ``build_3r_numerical`` grid-searches the
+  relaxation of the leakage; ``build_3r_numerical`` bisects a grid for the
   smallest side-constant q that the exact leakage audit certifies.
 
 * The Markov-quilt (MQ) baseline deterministically redacts a contiguous
@@ -49,7 +49,7 @@ __all__ = [
 
 DEFAULT_GRID_STEPS = 999
 
-#: Slack absorbing float noise when the grid search compares audited leakage
+#: Slack absorbing float noise when the grid bisection compares audited leakage
 #: against the side budget; well under every documented tolerance.
 _FEASIBILITY_SLACK = 1e-12
 
@@ -344,19 +344,21 @@ def build_3r_numerical(
 ) -> tuple[ThreeRDesign, RedactionMechanism]:
     """Three-region mechanism with the smallest exactly-audited side-constant q.
 
-    Scans q over {i / grid_steps} upward per side and keeps the first value
-    whose restricted-chain exact leakage fits the side budget; the
-    relaxation's closed-form q joins the candidate set so the result never
-    does worse than :func:`build_3r_relaxation` even when the grid straddles
-    it.  A final joint audit re-checks the total budget and, if side
-    composition ever left slack, nudges the smaller side upward until it
-    passes (redacting all of medium always passes, so the scan cannot
-    come up empty without an internal inconsistency).
-    """
-    if grid_steps < 1:
-        raise ValueError(f"grid_steps must be positive, got {grid_steps!r}")
-    from .audit import exact_leakage  # deferred: audit depends on this module
+    Per side, bisects the grid {i / grid_steps} for the smallest value
+    whose restricted-chain exact leakage fits the side budget.  The audited
+    leakage does not fall as q rises, so this is the first passing grid
+    value; q = 1 (all of medium redacted) is audited first and always fits.
+    The relaxation's closed-form q joins the candidate set, so the result
+    never does worse than :func:`build_3r_relaxation` even when the grid
+    straddles it.
 
+    No joint audit is needed: row p redacts with probability 1, so its
+    emission log-ratio is 0 and the total leakage max(|min L + min R|,
+    |max L + max R|) is at most the sum of the two side leakages, hence at
+    most eps_left + eps_right <= eps (up to the feasibility slack).
+    """
+    if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 1:
+        raise ValueError(f"grid_steps must be a positive integer, got {grid_steps!r}")
     eps_left, eps_right = _check_budget(model, p, eps, split)
     relax_design, _ = build_3r_relaxation(model, p, eps, (eps_left, eps_right))
     regions = relax_design.regions
@@ -366,47 +368,31 @@ def build_3r_numerical(
         medium = regions.medium_by_distance(side)
         if not medium:
             continue
-        found = None
-        for i in range(grid_steps + 1):
-            candidate = i / grid_steps
-            leak = _side_leakage(model, p, regions, side, candidate)
-            if leak <= eps_side + _FEASIBILITY_SLACK:
-                found = candidate
-                break
-        if found is None:
+
+        def fits(q_side: float) -> bool:
+            leak = _side_leakage(model, p, regions, side, q_side)
+            return leak <= eps_side + _FEASIBILITY_SLACK
+
+        if not fits(1.0):
             raise RuntimeError(
-                "no feasible grid value for the side-constant redaction "
-                "probability; redacting the whole medium region is always "
-                "feasible, so this indicates an internal inconsistency"
+                "redacting the whole medium region does not fit the side "
+                "budget, which indicates an internal inconsistency"
             )
+        # Grid indices: `passing` fits, and no index up to `failing` does.
+        failing, passing = -1, grid_steps
+        while passing - failing > 1:
+            middle = (failing + passing) // 2
+            if fits(middle / grid_steps):
+                passing = middle
+            else:
+                failing = middle
+        found = passing / grid_steps
         q_relax = relax_design.q[medium[0]]
-        if q_relax < found:
-            leak = _side_leakage(model, p, regions, side, q_relax)
-            if leak <= eps_side + _FEASIBILITY_SLACK:
-                found = q_relax
+        if q_relax < found and fits(q_relax):
+            found = q_relax
         side_q[side] = found
 
-    q = {
-        t: side_q[-1 if t < p else 1]
-        for t in regions.medium
-    }
-    mechanism = _assemble_table(model, p, regions, q)
-    step = 1.0 / grid_steps
-    while exact_leakage(model, mechanism).leakage > eps + _FEASIBILITY_SLACK:
-        # Safety net only: per-side budgets compose additively, so the joint
-        # audit is expected to pass on the first try.
-        sides = sorted(side_q, key=lambda s: side_q[s])
-        if not sides:
-            raise RuntimeError("joint audit failed for a fully deterministic table")
-        bump = sides[0]
-        if side_q[bump] >= 1.0:
-            bump = sides[-1]
-        if side_q[bump] >= 1.0:
-            raise RuntimeError("joint audit failed with all of medium redacted")
-        side_q[bump] = min(1.0, side_q[bump] + step)
-        q = {t: side_q[-1 if t < p else 1] for t in regions.medium}
-        mechanism = _assemble_table(model, p, regions, q)
-
+    q = {t: side_q[-1 if t < p else 1] for t in regions.medium}
     design = ThreeRDesign(
         eps=eps,
         eps_left=eps_left,
@@ -415,7 +401,7 @@ def build_3r_numerical(
         q=q,
         relaxed_leakage_bound=_relaxed_bound(model, regions, q),
     )
-    return design, mechanism
+    return design, _assemble_table(model, p, regions, q)
 
 
 def _delta_star_or_none(model: MarkovModel, eps: float, cap: int = 10**6) -> int | None:

@@ -8,7 +8,8 @@ is a second, vectorised audit oracle that exhausts all 3^n outputs (practical
 up to n of about 13); it re-evaluates its witness through the package's
 ``output_probability``, which the joint-table oracle checks in turn.
 ``leakage_lower_bound_check`` tests the audit against the influence lower
-bounds.
+bounds.  ``linear_scan_design`` is the numerical 3R search as a plain upward
+scan of the grid, the reference for the package's bisection.
 """
 
 import math
@@ -25,6 +26,13 @@ from markov_redaction import (
     stationary_marginal,
 )
 from markov_redaction.influence import SET_ENUMERATION_CAP, _set_influence_rows
+from markov_redaction.mechanisms import (
+    _FEASIBILITY_SLACK,
+    _assemble_table,
+    _check_budget,
+    _side_leakage,
+    build_3r_relaxation,
+)
 
 #: Six (alpha, beta) points including an oscillating 1 - alpha - beta < 0 case
 #: and the independent case alpha + beta = 1.
@@ -307,3 +315,33 @@ def leakage_lower_bound_check(model, mechanism, released, slack: float = 1e-9) -
     if data_independent and exact + slack < float(influence.max()):
         return False
     return True
+
+
+def linear_scan_design(model, p, eps, grid_steps):
+    """(q map, mechanism) of the numerical 3R design found by a linear scan.
+
+    Per side, audits q = i / grid_steps for i = 0, 1, ... and keeps the first
+    value whose restricted-chain leakage fits the side budget, then takes
+    the relaxation's q instead when it is smaller and also fits; the default
+    budget split and the feasibility slack are the package's.
+    """
+    eps_left, eps_right = _check_budget(model, p, eps, None)
+    relax_design, _ = build_3r_relaxation(model, p, eps)
+    regions = relax_design.regions
+
+    def fits(side, eps_side, q_side):
+        return _side_leakage(model, p, regions, side, q_side) <= eps_side + _FEASIBILITY_SLACK
+
+    side_q = {}
+    for side, eps_side in ((-1, eps_left), (1, eps_right)):
+        medium = regions.medium_by_distance(side)
+        if not medium:
+            continue
+        grid = (i / grid_steps for i in range(grid_steps + 1))
+        found = next(q_side for q_side in grid if fits(side, eps_side, q_side))
+        q_relax = relax_design.q[medium[0]]
+        if q_relax < found and fits(side, eps_side, q_relax):
+            found = q_relax
+        side_q[side] = found
+    q = {t: side_q[-1 if t < p else 1] for t in regions.medium}
+    return q, _assemble_table(model, p, regions, q)

@@ -219,6 +219,18 @@ def test_per_side_additivity_and_mq_equality():
     assert report.leakage == pytest.approx(left + right, abs=1e-9)
 
 
+def test_total_within_side_sum_when_private_row_is_redacted():
+    # row p always redacted: its emission term is 0, so the sides compose
+    rng = np.random.default_rng(31)
+    sizes = [int(rng.integers(1, 13)) for _ in range(150)] + [1000, 1500, 2000]
+    for n in sizes:
+        p = int(rng.integers(1, n + 1))
+        model = random_model(rng, n)
+        report = exact_leakage(model, random_mechanism(rng, n, p))
+        left, right = report.per_side
+        assert report.leakage <= left + right + 1e-12
+
+
 def test_raising_redaction_never_raises_leakage():
     model = MarkovModel(6, 0.01, 0.8)
     _, mech = build_3r_relaxation(model, 1, 0.5)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import markov_redaction.audit
 from markov_redaction import (
     MarkovModel,
     RedactionMechanism,
@@ -19,6 +20,9 @@ from markov_redaction import (
     mq_utility_bounds,
     three_r_utility,
 )
+
+from oracles import linear_scan_design
+from test_acceptance import _grid_points
 
 FIG_MODEL = MarkovModel(10, 0.01, 0.8)
 
@@ -141,8 +145,49 @@ def test_numerical_respects_custom_grid():
     design, _ = build_3r_numerical(MarkovModel(2, 0.25, 0.5), 1, 0.5, grid_steps=10)
     # exact feasibility threshold is ~0.11923, so a 10-step grid lands on 0.2
     assert design.q == {2: pytest.approx(0.2, abs=1e-12)}
-    with pytest.raises(ValueError):
-        build_3r_numerical(MarkovModel(2, 0.25, 0.5), 1, 0.5, grid_steps=0)
+    for bad in (0, -3, True, 2.5, 10.0, "10", None):
+        with pytest.raises(ValueError):
+            build_3r_numerical(MarkovModel(2, 0.25, 0.5), 1, 0.5, grid_steps=bad)
+
+
+def assert_matches_linear_scan(model, p, eps, grid_steps):
+    design, mech = build_3r_numerical(model, p, eps, grid_steps=grid_steps)
+    q, scanned = linear_scan_design(model, p, eps, grid_steps)
+    assert design.q == q
+    assert np.array_equal(mech.redact_prob, scanned.redact_prob)
+
+
+def test_numerical_bisection_matches_linear_scan_on_acceptance_grid():
+    for model, p, eps in _grid_points():
+        assert_matches_linear_scan(model, p, eps, grid_steps=49)
+
+
+def test_numerical_bisection_matches_linear_scan_on_paper_sweep():
+    grid = [float(x) for x in np.logspace(math.log10(0.05), math.log10(6.0), 60)]
+    with_medium = [
+        eps for eps in grid if build_3r_relaxation(FIG_MODEL, 1, eps)[0].regions.medium
+    ]
+    budgets = with_medium[::5]
+    assert len(budgets) >= 10
+    for eps in budgets:
+        assert_matches_linear_scan(FIG_MODEL, 1, eps, grid_steps=999)
+
+
+def test_numerical_audit_count_is_logarithmic(monkeypatch):
+    audited = []  # the builder imports the audit at call time, so this wraps it
+    real_audit = markov_redaction.audit.exact_leakage
+
+    def counting_audit(model, mechanism):
+        audited.append(model.n)
+        return real_audit(model, mechanism)
+
+    monkeypatch.setattr(markov_redaction.audit, "exact_leakage", counting_audit)
+    p = 1
+    design, _ = build_3r_numerical(FIG_MODEL, p, 1.0)
+    sides_with_medium = {t > p for t in design.regions.medium}
+    assert len(sides_with_medium) == 1
+    # q = 1, a bisection of the 1,000 grid values, and the relaxation's q
+    assert 0 < len(audited) <= math.ceil(math.log2(1000)) + 3
 
 
 def test_mq_one_sided_window():
