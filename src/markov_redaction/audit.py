@@ -15,6 +15,8 @@ side being redacted.  One forward pass per side evaluates these
 2 * (side length) + 1 first-release classes under both conditionings, and
 the supremum over all outputs reduces to the extremes of each side's
 log-ratios.  The cost is linear in n, with no size limit.
+:func:`side_leakage` is that pass alone for one side, the score the
+numerical three-region search compares against a side budget.
 
 An output supported under exactly one conditioning certifies infinite
 leakage: it occurs with positive marginal probability yet pins the
@@ -136,6 +138,17 @@ def _side_log_ratios(transition: list, rows: np.ndarray) -> np.ndarray:
         redacted = np.log(a0 + a1) - np.log(b0 + b1)
     released[rows >= 1.0] = np.nan  # that value is never released there
     return np.append(released.ravel(), redacted)
+
+
+def side_leakage(model: MarkovModel, rows: np.ndarray) -> float:
+    """Exact leakage of one side of p, from its redaction rows walked outward from p.
+
+    This is max(|min L|, |max L|) over the side's first-release log-ratios
+    L, which equals the matching ``per_side`` entry of :func:`exact_leakage`
+    when row p always redacts.  It skips the witness and its re-evaluation.
+    """
+    ratios = _side_log_ratios(model.transition_matrix().tolist(), rows)
+    return float(max(abs(np.fmin.reduce(ratios)), abs(np.fmax.reduce(ratios))))
 
 
 def _reach(base, side_extremes: tuple[float, float]):

@@ -28,7 +28,7 @@ import numpy as np
 from .audit import exact_leakage
 from .chain import MarkovModel, multi_step
 from .errors import EnumerationCapError
-from .influence import influence_high, influence_low, max_influence_set, pointwise_influence
+from .influence import check_index, influence_high, influence_low, max_influence_set, pointwise_influence
 from .mechanisms import (
     DEFAULT_GRID_STEPS,
     RedactionMechanism,
@@ -166,7 +166,8 @@ def run_utility_curve(spec: SweepSpec) -> str:
             lower, exact = mq_utility_bounds(model, p, eps)
             if KIND_MQ in spec.mechanisms:
                 row.append(exact)
-                tables[KIND_MQ] = build_mq(model, p, eps)[1]
+                if spec.trials > 0:
+                    tables[KIND_MQ] = build_mq(model, p, eps)[1]
             if KIND_MQLB in spec.mechanisms:
                 row.append(lower)
         audits: list = []
@@ -198,8 +199,7 @@ def _cmd_influence_curve(args) -> int:
     t_max = model.n if args.t_max is None else args.t_max
     if not (1 <= t_min <= t_max <= model.n):
         raise ValueError(f"need 1 <= t-min <= t-max <= {model.n}")
-    if not (1 <= args.p <= model.n):
-        raise ValueError(f"private index p must lie in [1, {model.n}]")
+    check_index(model.n, args.p)
     rows: list[list] = [["t", "delta", "i_low", "i_high"]]
     for t in range(t_min, t_max + 1):
         delta = abs(t - args.p)

@@ -77,9 +77,10 @@ def influence_high(model: MarkovModel, delta: int) -> float:
     return abs(math.log((1.0 + model.beta / model.alpha * decay) / (1.0 - decay)))
 
 
-def _check_index(model: MarkovModel, index: int, name: str) -> None:
-    if not (1 <= index <= model.n):
-        raise ValueError(f"{name} must lie in [1, {model.n}], got {index!r}")
+def check_index(n: int, index: int, name: str = "private index p") -> None:
+    """Raise ValueError unless the record index lies in [1, n]."""
+    if not (1 <= index <= n):
+        raise ValueError(f"{name} must lie in [1, {n}], got {index!r}")
 
 
 def pointwise_influence(model: MarkovModel, p: int, t: int, x_t: int) -> float:
@@ -88,8 +89,8 @@ def pointwise_influence(model: MarkovModel, p: int, t: int, x_t: int) -> float:
     Infinite when ``t == p``; otherwise the low/high closed form at
     distance ``|p - t|`` depending on the observed value.
     """
-    _check_index(model, p, "p")
-    _check_index(model, t, "t")
+    check_index(model.n, p)
+    check_index(model.n, t, "t")
     if x_t not in (0, 1):
         raise ValueError(f"record value must be 0 or 1, got {x_t!r}")
     if t == p:
@@ -140,14 +141,14 @@ def pointwise_set_influence(model: MarkovModel, p: int, realization: dict[int, i
     The empty realization has influence 0; any set containing p itself is
     rejected (its influence is infinite by convention and never needed here).
     """
-    _check_index(model, p, "p")
+    check_index(model.n, p)
     if not realization:
         return 0.0
     indices = sorted(realization)
     if p in realization:
         raise ValueError("the private index cannot be part of the observed set")
     for t in indices:
-        _check_index(model, t, "set index")
+        check_index(model.n, t, "set index")
         if realization[t] not in (0, 1):
             raise ValueError(f"record value must be 0 or 1, got {realization[t]!r}")
     bits, influence = _set_influence_rows(model, p, indices)
@@ -162,14 +163,14 @@ def max_influence_set(model: MarkovModel, p: int, indices) -> float:
     ``SET_ENUMERATION_CAP`` raise :class:`EnumerationCapError` so the
     brute-force stays a usable oracle.
     """
-    _check_index(model, p, "p")
+    check_index(model.n, p)
     ordered = sorted(set(indices))
     if not ordered:
         return 0.0
     if p in ordered:
         raise ValueError("the private index cannot be part of the observed set")
     for t in ordered:
-        _check_index(model, t, "set index")
+        check_index(model.n, t, "set index")
     if len(ordered) > SET_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"max influence over {len(ordered)} records needs 2^{len(ordered)} "
@@ -250,7 +251,7 @@ def compute_regions(
     when both fit.  Zero budgets are allowed (then nothing with positive
     influence can be small).
     """
-    _check_index(model, p, "p")
+    check_index(model.n, p)
     if eps_left < 0 or eps_right < 0:
         raise ValueError("region budgets must be nonnegative")
     small: set[int] = set()

@@ -10,7 +10,8 @@ gives Pr[Y_t = redacted | X_t = x].  Three constructions are provided.
   always redacted, while the value 0 is redacted with probability q_t.
   ``build_3r_relaxation`` picks the side-constant q from a closed-form
   relaxation of the leakage; ``build_3r_numerical`` bisects a grid for the
-  smallest side-constant q that the exact leakage audit certifies.
+  smallest side-constant q whose exact side leakage, from the audit's own
+  first-release pass over that side, fits the side budget.
 
 * The Markov-quilt (MQ) baseline deterministically redacts a contiguous
   window around the private record, sized from the distances at which the
@@ -19,7 +20,8 @@ gives Pr[Y_t = redacted | X_t = x].  Three constructions are provided.
 
 ``dim_upper_bound`` evaluates the utility ceiling for *any* data-independent
 local redaction mechanism, and ``mq_utility_bounds`` the closed-form lower
-bound that shows the MQ window sits within O(1/n) of that ceiling.
+bound, that ceiling less one or two records, which shows the MQ window sits
+within O(1/n) of it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .chain import MarkovModel, stationary_marginal
 from .errors import EnumerationCapError
-from .influence import Regions, compute_regions, delta_star, influence_high, influence_low
+from .influence import Regions, check_index, compute_regions, delta_star, influence_high, influence_low
 
 __all__ = [
     "RedactionMechanism",
@@ -73,8 +75,7 @@ class RedactionMechanism:
     def __post_init__(self, enforce_private_redaction: bool) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (1 <= self.p <= self.n):
-            raise ValueError(f"private index p must lie in [1, {self.n}], got {self.p!r}")
+        check_index(self.n, self.p)
         table = np.array(self.redact_prob, dtype=float)
         if table.shape != (self.n, 2):
             raise ValueError(
@@ -95,25 +96,6 @@ class RedactionMechanism:
             raise ValueError(
                 f"model covers {model.n} records but the mechanism table has {self.n} rows"
             )
-
-    @property
-    def released_indices(self) -> frozenset[int]:
-        """Indices with any chance of release: min_x r_t(x) < 1."""
-        table = self.redact_prob
-        return frozenset(
-            t for t in range(1, self.n + 1) if table[t - 1].min() < 1.0
-        )
-
-    def restrict(self, lo: int, hi: int, p: int) -> "RedactionMechanism":
-        """Sub-mechanism on the index window [lo, hi], re-indexed from 1."""
-        if not (1 <= lo <= p <= hi <= self.n):
-            raise ValueError("window must satisfy 1 <= lo <= p <= hi <= n")
-        return RedactionMechanism(
-            n=hi - lo + 1,
-            p=p - lo + 1,
-            redact_prob=self.redact_prob[lo - 1 : hi],
-            enforce_private_redaction=False,
-        )
 
     def mirrored(self) -> "RedactionMechanism":
         """The same mechanism on the index-reversed chain (t -> n + 1 - t)."""
@@ -185,8 +167,7 @@ def _default_split(p: int, eps: float) -> tuple[float, float]:
 def _check_budget(model: MarkovModel, p: int, eps: float, split) -> tuple[float, float]:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if not (1 <= p <= model.n):
-        raise ValueError(f"private index p must lie in [1, {model.n}], got {p!r}")
+    check_index(model.n, p)
     if split is None:
         return _default_split(p, eps)
     eps_left, eps_right = split
@@ -317,24 +298,6 @@ def build_3r_relaxation(
     return design, _assemble_table(model, p, regions, q)
 
 
-def _side_leakage(
-    model: MarkovModel,
-    p: int,
-    regions: Regions,
-    side: int,
-    q_side: float,
-) -> float:
-    """Exact leakage of the chain restricted to one side of p, at constant q."""
-    from .audit import exact_leakage  # deferred: audit depends on this module
-
-    lo, hi = (1, p) if side == -1 else (p, model.n)
-    q = {t: q_side for t in regions.medium_by_distance(side)}
-    full = _assemble_table(model, p, regions, {**{t: 1.0 for t in regions.medium}, **q})
-    side_model = MarkovModel(n=hi - lo + 1, alpha=model.alpha, beta=model.beta)
-    side_mech = full.restrict(lo, hi, p)
-    return exact_leakage(side_model, side_mech).leakage
-
-
 def build_3r_numerical(
     model: MarkovModel,
     p: int,
@@ -345,33 +308,39 @@ def build_3r_numerical(
     """Three-region mechanism with the smallest exactly-audited side-constant q.
 
     Per side, bisects the grid {i / grid_steps} for the smallest value
-    whose restricted-chain exact leakage fits the side budget.  The audited
-    leakage does not fall as q rises, so this is the first passing grid
-    value; q = 1 (all of medium redacted) is audited first and always fits.
-    The relaxation's closed-form q joins the candidate set, so the result
-    never does worse than :func:`build_3r_relaxation` even when the grid
-    straddles it.
+    whose exact side leakage (:func:`audit.side_leakage` of that side's
+    redaction rows) fits the side budget.  The audited leakage does not
+    fall as q rises, so this is the first passing grid value; q = 1 (all of
+    medium redacted) is audited first and always fits.  The relaxation's
+    closed-form q joins the candidate set, so the result never does worse
+    than :func:`build_3r_relaxation` even when the grid straddles it.
 
     No joint audit is needed: row p redacts with probability 1, so its
     emission log-ratio is 0 and the total leakage max(|min L + min R|,
     |max L + max R|) is at most the sum of the two side leakages, hence at
     most eps_left + eps_right <= eps (up to the feasibility slack).
     """
+    from .audit import side_leakage  # deferred: audit depends on this module
+
     if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 1:
         raise ValueError(f"grid_steps must be a positive integer, got {grid_steps!r}")
     eps_left, eps_right = _check_budget(model, p, eps, split)
-    relax_design, _ = build_3r_relaxation(model, p, eps, (eps_left, eps_right))
+    relax_design, relax_mech = build_3r_relaxation(model, p, eps, (eps_left, eps_right))
     regions = relax_design.regions
+    table = relax_mech.redact_prob
 
     side_q: dict[int, float] = {}
     for side, eps_side in ((-1, eps_left), (1, eps_right)):
         medium = regions.medium_by_distance(side)
         if not medium:
             continue
+        # The side's rows walked outward from p; only the medium q entries vary.
+        rows = (table[: p - 1][::-1] if side == -1 else table[p:]).copy()
+        medium_rows = [abs(t - p) - 1 for t in medium]
 
         def fits(q_side: float) -> bool:
-            leak = _side_leakage(model, p, regions, side, q_side)
-            return leak <= eps_side + _FEASIBILITY_SLACK
+            rows[medium_rows, 0] = q_side
+            return side_leakage(model, rows) <= eps_side + _FEASIBILITY_SLACK
 
         if not fits(1.0):
             raise RuntimeError(
@@ -424,8 +393,7 @@ def build_mq(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if not (1 <= p <= model.n):
-        raise ValueError(f"private index p must lie in [1, {model.n}], got {p!r}")
+    check_index(model.n, p)
     if p > model.n + 1 - p:  # strictly right of center: run on the mirrored chain
         plan, mechanism = build_mq(model, model.n + 1 - p, eps)
         mirrored = MqPlan(
@@ -493,15 +461,20 @@ def dim_upper_bound(model: MarkovModel, p: int, eps: float) -> DimBound:
     """
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    if not (1 <= p <= model.n):
-        raise ValueError(f"private index p must lie in [1, {model.n}], got {p!r}")
+    check_index(model.n, p)
     p = min(p, model.n + 1 - p)
     n = model.n
     if eps < influence_high(model, n - p):
         return DimBound(eps=eps, case="zero", r1=None, r2=None, value=0.0)
+    two_sided = eps >= influence_high(model, p - 1) + influence_high(model, n - p)
     r1 = _dim_delta_star(model, eps) + p - 1
-    r2 = min(r1, 2 * _dim_delta_star(model, eps / 2.0) - 1)
-    if eps >= influence_high(model, p - 1) + influence_high(model, n - p):
+    try:
+        r2 = min(r1, 2 * _dim_delta_star(model, eps / 2.0) - 1)
+    except EnumerationCapError:
+        if two_sided:
+            raise
+        r2 = None  # the one-sided bound does not need it
+    if two_sided:
         return DimBound(eps=eps, case="two_sided", r1=r1, r2=r2, value=1.0 - r2 / n)
     return DimBound(eps=eps, case="one_sided", r1=r1, r2=r2, value=1.0 - r1 / n)
 
@@ -509,25 +482,18 @@ def dim_upper_bound(model: MarkovModel, p: int, eps: float) -> DimBound:
 def mq_utility_bounds(model: MarkovModel, p: int, eps: float) -> tuple[float, float]:
     """Closed-form lower bound and exact utility of the Markov-quilt window.
 
-    The lower bound mirrors the data-independent ceiling with a 1/n (one
-    extra redaction, one-sided case) or 2/n (symmetric case) slack; the
-    exact value is 1 - (window size) / n from the plan actually built.
+    The lower bound is the data-independent ceiling of :func:`dim_upper_bound`
+    less a 1/n (one extra redaction, one-sided case) or 2/n (symmetric case)
+    slack, and 0 where that ceiling is 0; the exact value is
+    1 - (window size) / n from the plan actually built.
     """
     plan, _ = build_mq(model, p, eps)
     n = model.n
     exact = 1.0 - (plan.delta_left + plan.delta_right + 1) / n
-    p_mirrored = min(p, n + 1 - p)
-    if eps < influence_high(model, n - p_mirrored):
-        lower = 0.0
-    else:
-        r1 = delta_star(model, eps) + p_mirrored - 1
-        edges = influence_high(model, p_mirrored - 1) + influence_high(model, n - p_mirrored)
-        if eps >= edges:
-            r2 = 2 * delta_star(model, eps / 2.0) - 1
-            lower = 1.0 - min(r1, r2) / n - 2.0 / n
-        else:
-            lower = 1.0 - r1 / n - 1.0 / n
-    return lower, exact
+    dim = dim_upper_bound(model, p, eps)
+    if dim.case == "zero":
+        return 0.0, exact
+    return dim.value - (1.0 if dim.case == "one_sided" else 2.0) / n, exact
 
 
 def three_r_utility(design: ThreeRDesign, model: MarkovModel) -> float:

@@ -8,8 +8,12 @@ is a second, vectorised audit oracle that exhausts all 3^n outputs (practical
 up to n of about 13); it re-evaluates its witness through the package's
 ``output_probability``, which the joint-table oracle checks in turn.
 ``leakage_lower_bound_check`` tests the audit against the influence lower
-bounds.  ``linear_scan_design`` is the numerical 3R search as a plain upward
-scan of the grid, the reference for the package's bisection.
+bounds.  ``side_chain`` cuts a mechanism to one side of p, and
+``linear_scan_design`` is the numerical 3R search as a plain upward scan of
+the grid, scoring each candidate by the full audit of that restricted side
+chain: the reference for the package's bisection and its side pass.
+``reference_mq_lower_bound`` derives the Markov-quilt lower bound without
+``dim_upper_bound``.
 """
 
 import math
@@ -21,7 +25,10 @@ from markov_redaction import (
     EnumerationCapError,
     LeakageReport,
     MarkovModel,
+    RedactionMechanism,
+    delta_star,
     exact_leakage,
+    influence_high,
     output_probability,
     stationary_marginal,
 )
@@ -30,7 +37,6 @@ from markov_redaction.mechanisms import (
     _FEASIBILITY_SLACK,
     _assemble_table,
     _check_budget,
-    _side_leakage,
     build_3r_relaxation,
 )
 
@@ -138,6 +144,34 @@ def brute_exact_leakage(model, mechanism) -> float:
             return math.inf
         best = max(best, abs(math.log(p0) - math.log(p1)))
     return best
+
+
+# ------------------------------------------------ side chains
+
+
+def released_indices(mechanism) -> frozenset[int]:
+    """Indices with any chance of release: min_x r_t(x) < 1."""
+    table = mechanism.redact_prob
+    return frozenset(t for t in range(1, mechanism.n + 1) if table[t - 1].min() < 1.0)
+
+
+def restrict(mechanism, lo: int, hi: int, p: int) -> RedactionMechanism:
+    """Sub-mechanism on the index window [lo, hi], re-indexed from 1."""
+    if not (1 <= lo <= p <= hi <= mechanism.n):
+        raise ValueError("window must satisfy 1 <= lo <= p <= hi <= n")
+    return RedactionMechanism(
+        n=hi - lo + 1,
+        p=p - lo + 1,
+        redact_prob=mechanism.redact_prob[lo - 1 : hi],
+        enforce_private_redaction=False,
+    )
+
+
+def side_chain(model, mechanism, side: int) -> tuple[MarkovModel, RedactionMechanism]:
+    """(model, mechanism) of the chain cut to [1, p] (side -1) or [p, n] (side +1)."""
+    p = mechanism.p
+    lo, hi = (1, p) if side == -1 else (p, model.n)
+    return MarkovModel(hi - lo + 1, model.alpha, model.beta), restrict(mechanism, lo, hi, p)
 
 
 # ------------------------------------------------ exhaustive 3^n audit oracle
@@ -260,11 +294,9 @@ def enumerated_leakage(model, mechanism, per_side: bool = True) -> LeakageReport
 
     sides = None
     if per_side:
-        left_model = MarkovModel(n=p, alpha=model.alpha, beta=model.beta)
-        right_model = MarkovModel(n=model.n - p + 1, alpha=model.alpha, beta=model.beta)
-        sides = (
-            enumerated_leakage(left_model, mechanism.restrict(1, p, p), False).leakage,
-            enumerated_leakage(right_model, mechanism.restrict(p, model.n, p), False).leakage,
+        sides = tuple(
+            enumerated_leakage(*side_chain(model, mechanism, side), False).leakage
+            for side in (-1, 1)
         )
     return LeakageReport(
         leakage=leakage, witness=witness, outputs_enumerated=count, per_side=sides
@@ -317,20 +349,45 @@ def leakage_lower_bound_check(model, mechanism, released, slack: float = 1e-9) -
     return True
 
 
+def reference_mq_lower_bound(model, p, eps) -> float:
+    """The MQ window's utility lower bound, derived without ``dim_upper_bound``.
+
+    Zero below the farthest record's max influence; otherwise
+    1 - R1/n - 1/n, or 1 - min(R1, R2)/n - 2/n when the budget covers the
+    influences of both chain ends, with p mirrored into the left half,
+    R1 = delta*(eps) + p - 1 and R2 = 2 delta*(eps/2) - 1.
+    """
+    n = model.n
+    p = min(p, n + 1 - p)
+    if eps < influence_high(model, n - p):
+        return 0.0
+    r1 = delta_star(model, eps) + p - 1
+    if eps >= influence_high(model, p - 1) + influence_high(model, n - p):
+        r2 = 2 * delta_star(model, eps / 2.0) - 1
+        return 1.0 - min(r1, r2) / n - 2.0 / n
+    return 1.0 - r1 / n - 1.0 / n
+
+
 def linear_scan_design(model, p, eps, grid_steps):
     """(q map, mechanism) of the numerical 3R design found by a linear scan.
 
     Per side, audits q = i / grid_steps for i = 0, 1, ... and keeps the first
     value whose restricted-chain leakage fits the side budget, then takes
     the relaxation's q instead when it is smaller and also fits; the default
-    budget split and the feasibility slack are the package's.
+    budget split and the feasibility slack are the package's.  Each
+    candidate is scored by the full ``exact_leakage`` of the side chain cut
+    from the whole table, not by the package's side pass.
     """
     eps_left, eps_right = _check_budget(model, p, eps, None)
     relax_design, _ = build_3r_relaxation(model, p, eps)
     regions = relax_design.regions
 
     def fits(side, eps_side, q_side):
-        return _side_leakage(model, p, regions, side, q_side) <= eps_side + _FEASIBILITY_SLACK
+        q = {t: 1.0 for t in regions.medium}
+        q.update((t, q_side) for t in regions.medium_by_distance(side))
+        full = _assemble_table(model, p, regions, q)
+        leak = exact_leakage(*side_chain(model, full, side)).leakage
+        return leak <= eps_side + _FEASIBILITY_SLACK
 
     side_q = {}
     for side, eps_side in ((-1, eps_left), (1, eps_right)):

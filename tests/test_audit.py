@@ -19,6 +19,7 @@ from markov_redaction import (
     output_probability,
     pointwise_influence,
 )
+from markov_redaction.audit import side_leakage
 
 from oracles import (
     all_outputs,
@@ -26,6 +27,7 @@ from oracles import (
     brute_output_probability,
     enumerated_leakage,
     leakage_lower_bound_check,
+    side_chain,
 )
 
 EXAMPLE_MODEL = MarkovModel(2, 0.25, 0.5)
@@ -274,14 +276,33 @@ def test_exact_leakage_agrees_with_oracles_on_random_tables(seed):
         report = exact_leakage(model, mech)
         assert_leakages_match(report, leakages(enumerated_leakage(model, mech)))
         if n <= 5:
-            left_model = MarkovModel(p, model.alpha, model.beta)
-            right_model = MarkovModel(n - p + 1, model.alpha, model.beta)
             brute = (
                 brute_exact_leakage(model, mech),
-                brute_exact_leakage(left_model, mech.restrict(1, p, p)),
-                brute_exact_leakage(right_model, mech.restrict(p, n, p)),
+                *(brute_exact_leakage(*side_chain(model, mech, side)) for side in (-1, 1)),
             )
             assert_leakages_match(report, brute, tol=1e-10)
+
+
+def outward_rows(mechanism, side):
+    """One side's redaction rows, walked outward from p."""
+    table, p = mechanism.redact_prob, mechanism.p
+    return table[: p - 1][::-1] if side == -1 else table[p:]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_side_leakage_matches_the_full_audit(seed):
+    # row p always redacts; free entries with sprinkled 0/1 entries, short and long chains
+    rng = np.random.default_rng(400 + seed)
+    for n in [int(rng.integers(1, 13)) for _ in range(60)] + [1000, 2000]:
+        p = int(rng.integers(1, n + 1))
+        model = random_model(rng, n)
+        mech = random_mechanism(rng, n, p)
+        report = exact_leakage(model, mech)
+        for index, side in enumerate((-1, 1)):
+            got = side_leakage(model, outward_rows(mech, side))
+            assert got == report.per_side[index]
+            restricted = exact_leakage(*side_chain(model, mech, side)).leakage
+            assert got == pytest.approx(restricted, abs=1e-12)  # inf only equals inf
 
 
 LONG = 2000

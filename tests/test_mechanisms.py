@@ -21,7 +21,7 @@ from markov_redaction import (
     three_r_utility,
 )
 
-from oracles import linear_scan_design
+from oracles import linear_scan_design, reference_mq_lower_bound, released_indices
 from test_acceptance import _grid_points
 
 FIG_MODEL = MarkovModel(10, 0.01, 0.8)
@@ -38,20 +38,17 @@ def test_mechanism_validation():
     broken = RedactionMechanism(
         n=2, p=1, redact_prob=[[0.0, 0.0], [0.0, 0.0]], enforce_private_redaction=False
     )
-    assert broken.released_indices == frozenset({1, 2})
+    assert released_indices(broken) == frozenset({1, 2})
     with pytest.raises(ValueError, match="private index"):
         RedactionMechanism(n=2, p=3, redact_prob=np.ones((2, 2)))
 
 
 def test_mechanism_released_indices_and_views():
     _, mech = build_mq(FIG_MODEL, 1, 1.0)
-    assert mech.released_indices == frozenset(range(5, 11))
+    assert released_indices(mech) == frozenset(range(5, 11))
     mirrored = mech.mirrored()
     assert mirrored.p == 10
     assert np.array_equal(mirrored.redact_prob, mech.redact_prob[::-1])
-    sub = mech.restrict(1, 4, 1)
-    assert sub.n == 4 and sub.p == 1
-    assert (sub.redact_prob == 1.0).all()
 
 
 def test_relaxation_reproduces_published_profile():
@@ -174,14 +171,14 @@ def test_numerical_bisection_matches_linear_scan_on_paper_sweep():
 
 
 def test_numerical_audit_count_is_logarithmic(monkeypatch):
-    audited = []  # the builder imports the audit at call time, so this wraps it
-    real_audit = markov_redaction.audit.exact_leakage
+    audited = []  # the builder imports the side pass at call time, so this wraps it
+    real_side_leakage = markov_redaction.audit.side_leakage
 
-    def counting_audit(model, mechanism):
-        audited.append(model.n)
-        return real_audit(model, mechanism)
+    def counting_side_leakage(model, rows):
+        audited.append(len(rows))
+        return real_side_leakage(model, rows)
 
-    monkeypatch.setattr(markov_redaction.audit, "exact_leakage", counting_audit)
+    monkeypatch.setattr(markov_redaction.audit, "side_leakage", counting_side_leakage)
     p = 1
     design, _ = build_3r_numerical(FIG_MODEL, p, 1.0)
     sides_with_medium = {t > p for t in design.regions.medium}
@@ -341,3 +338,27 @@ def test_delta_terms_follow_outward_neighbour():
     q2 = math.exp(-(1.0 - influence_low(FIG_MODEL, 2)) / 1)
     q3 = math.exp(-(1.0 - influence_high(FIG_MODEL, 3)) / 2)
     assert design.q[2] == pytest.approx(max(q2, q3), abs=1e-15)
+
+
+def test_mq_lower_bound_matches_reference_derivation():
+    cases = set()
+    for alpha, beta in [(0.01, 0.8), (0.1, 0.5), (0.3, 0.7)]:
+        for n in (1, 2, 7, 10, 100, 10**5):
+            model = MarkovModel(n, alpha, beta)
+            for p in sorted({1, 2, (n + 1) // 2, n} & set(range(1, n + 1))):
+                for eps in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+                    lower, _ = mq_utility_bounds(model, p, eps)
+                    assert lower == reference_mq_lower_bound(model, p, eps)
+                    cases.add(dim_upper_bound(model, p, eps).case)
+    assert cases == {"zero", "one_sided", "two_sided"}
+
+
+def test_dim_bound_one_sided_skips_a_capped_half_budget_search():
+    # delta*(eps/2) lies past the 10^6 search limit here; the one-sided
+    # bound needs only delta*(eps), so neither bound may raise
+    model = MarkovModel(10, 1e-12, 1e-12)
+    eps = influence_high(model, 9) * 1.01
+    bound = dim_upper_bound(model, 1, eps)
+    assert bound.case == "one_sided" and bound.r2 is None
+    assert bound.value == 1.0 - bound.r1 / model.n
+    assert mq_utility_bounds(model, 1, eps)[0] == reference_mq_lower_bound(model, 1, eps)
