@@ -16,7 +16,6 @@ they first release a record.
 
 from .audit import LeakageReport, REDACTED, exact_leakage, output_probability
 from .chain import MarkovModel, MultiStepTransition, Path, multi_step, sample_path, stationary_marginal
-from .errors import EnumerationCapError
 from .influence import (
     Regions,
     compute_regions,
@@ -45,7 +44,6 @@ from .utility import MonteCarloEstimate, UtilityReport, exact_utility, monte_car
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnumerationCapError",
     "MarkovModel",
     "MultiStepTransition",
     "Path",

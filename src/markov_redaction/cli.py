@@ -8,8 +8,7 @@ redaction-profile  per-record redaction probabilities of the mechanisms
 audit              exact leakage audit of a mechanism file
 example1           self-check on the two-record worked example
 
-Exit codes: 0 success/pass, 1 audit fail, 2 usage error, 3 a distance search
-that finds no answer within its limit of 10^6 records.
+Exit codes: 0 success/pass, 1 audit fail, 2 usage error.
 All output is deterministic byte-for-byte given identical flags and seed;
 files are written atomically (temp file + rename).
 """
@@ -27,7 +26,6 @@ import numpy as np
 
 from .audit import exact_leakage
 from .chain import MarkovModel, multi_step
-from .errors import EnumerationCapError
 from .influence import check_index, influence_high, influence_low, max_influence_set, pointwise_influence
 from .mechanisms import (
     DEFAULT_GRID_STEPS,
@@ -46,7 +44,6 @@ __all__ = ["main", "SweepSpec", "run_utility_curve"]
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_CAP = 3
 
 #: Certification tolerance for audited-leakage pass flags.
 PASS_SLACK = 1e-9
@@ -129,9 +126,7 @@ class SweepSpec:
             raise ValueError(f"unknown mechanism(s): {sorted(unknown)}")
         if not self.eps_grid:
             raise ValueError("the budget grid is empty")
-        if self.eps_grid[0] <= 0 or any(
-            b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])
-        ):
+        if any(not b > a for a, b in zip((0.0, *self.eps_grid), self.eps_grid)):
             raise ValueError("the budget grid must be strictly increasing and positive")
 
 
@@ -259,6 +254,8 @@ def _cmd_redaction_profile(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if not args.eps >= 0:
+        raise ValueError(f"--eps must be nonnegative, got {args.eps!r}")
     model, mechanism, kind = read_mechanism(args.mechanism_file)
     report = exact_leakage(model, mechanism)
     passed = report.leakage <= args.eps + PASS_SLACK
@@ -389,9 +386,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except EnumerationCapError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_CAP
     except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

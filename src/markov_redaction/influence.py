@@ -14,7 +14,10 @@ delta = |p - t| and have closed forms in terms of s = 1 - alpha - beta:
 
 Under alpha <= beta the low form is the influence of observing x_t = 0, the
 high form of observing x_t = 1, and the high form equals the max influence.
-Self-influence (delta = 0) is infinite; the empty record set has influence 0.
+Self-influence (delta = 0) is infinite.  On a record set, the Markov
+property leaves only the nearest set index on each side of p, so the set
+influence is |l_L + l_R| of their two signed log-ratios; the empty record
+set has influence 0.
 
 Comparing both pointwise influences of a record against a budget eps splits
 the indices into three regions: large (both above eps, always redact),
@@ -26,11 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
-import numpy as np
-
-from .chain import MarkovModel, multi_step
-from .errors import EnumerationCapError
+from .chain import MarkovModel
 
 __all__ = [
     "Regions",
@@ -46,8 +47,22 @@ __all__ = [
 #: |budget - influence| below this is flagged as a region-boundary near miss.
 BOUNDARY_TOLERANCE = 1e-12
 
-#: Largest record set that max_influence_set will enumerate (2^cap realizations).
-SET_ENUMERATION_CAP = 20
+
+def _decay(model: MarkovModel, delta: int) -> float:
+    """s^delta for s = 1 - alpha - beta, the factor every influence form shares.
+
+    Raises ValueError when alpha + beta is so small that s rounds to 1, where
+    the forms would divide by 1 - s^delta = 0.  Rewriting them with
+    log1p/expm1, s^delta = exp(delta * log1p(-(alpha + beta))), will lift
+    this limit.
+    """
+    decay = 1.0 - model.alpha - model.beta
+    if decay == 1.0:
+        raise ValueError(
+            f"alpha + beta = {model.alpha + model.beta!r} is too small: "
+            "1 - alpha - beta rounds to 1"
+        )
+    return decay**delta
 
 
 def influence_low(model: MarkovModel, delta: int) -> float:
@@ -59,7 +74,7 @@ def influence_low(model: MarkovModel, delta: int) -> float:
         raise ValueError(f"distance must be nonnegative, got {delta!r}")
     if delta == 0:
         return math.inf
-    decay = (1.0 - model.alpha - model.beta) ** delta
+    decay = _decay(model, delta)
     return abs(math.log((1.0 + model.alpha / model.beta * decay) / (1.0 - decay)))
 
 
@@ -73,8 +88,18 @@ def influence_high(model: MarkovModel, delta: int) -> float:
         raise ValueError(f"distance must be nonnegative, got {delta!r}")
     if delta == 0:
         return math.inf
-    decay = (1.0 - model.alpha - model.beta) ** delta
+    decay = _decay(model, delta)
     return abs(math.log((1.0 + model.beta / model.alpha * decay) / (1.0 - decay)))
+
+
+def _log_ratios(model: MarkovModel, delta: int) -> tuple[float, float]:
+    """Signed log-ratios l(delta, x) = log P^delta[0, x] - log P^delta[1, x], x = 0, 1.
+
+    Their magnitudes are the low and high forms; l(delta, 0) carries the
+    sign of s^delta and l(delta, 1) the opposite one.  ``delta >= 1``.
+    """
+    sign = math.copysign(1.0, _decay(model, delta))
+    return sign * influence_low(model, delta), -sign * influence_high(model, delta)
 
 
 def check_index(n: int, index: int, name: str = "private index p") -> None:
@@ -99,117 +124,74 @@ def pointwise_influence(model: MarkovModel, p: int, t: int, x_t: int) -> float:
     return influence_low(model, delta) if x_t == 0 else influence_high(model, delta)
 
 
-def _set_influence_rows(
-    model: MarkovModel, p: int, indices: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise set influence of every joint realization of ``indices``.
+def _nearest_pair(model: MarkovModel, p: int, indices) -> list[int]:
+    """The nearest index of a record set on each side of p that has one.
 
-    Returns ``(bits, influence)`` where ``bits`` has shape ``(2^k, k)`` with
-    column j holding the value assigned to ``indices[j]`` (indices sorted
-    ascending), and ``influence[r]`` is ``|log ratio|`` of row r's realization.
-
-    The joint conditional ``Pr[X_S = x_S | X_p = x]`` is a product of
-    multi-step transition factors walked outward from p on each side
-    (backward steps reuse the forward matrix by stationarity), so the cost
-    is ``O(2^k * k)`` rather than requiring the full joint table.
+    Given X_p, the chain walked outward from p makes every factor of
+    Pr[X_S = x_S | X_p = x] beyond these indices independent of x, so they
+    alone decide the set influence.
     """
-    k = len(indices)
-    rows = 1 << k
-    bits = (np.arange(rows)[:, None] >> np.arange(k)[None, :]) & 1
-    log_joint = np.zeros((2, rows))
-    column = {t: j for j, t in enumerate(indices)}
+    check_index(model.n, p)
+    if p in indices:
+        raise ValueError("the private index cannot be part of the observed set")
+    for t in indices:
+        check_index(model.n, t, "set index")
+    left = [t for t in indices if t < p]
     right = [t for t in indices if t > p]
-    left = [t for t in indices if t < p][::-1]
-    for side in (right, left):
-        previous = p
-        prev_values = None  # None marks the conditioning record itself
-        for t in side:
-            log_step = np.log(multi_step(model, abs(t - previous)).matrix())
-            values = bits[:, column[t]]
-            if prev_values is None:
-                log_joint[0] += log_step[0, values]
-                log_joint[1] += log_step[1, values]
-            else:
-                log_joint += log_step[prev_values, values][None, :]
-            previous, prev_values = t, values
-    return bits, np.abs(log_joint[0] - log_joint[1])
+    return ([max(left)] if left else []) + ([min(right)] if right else [])
 
 
 def pointwise_set_influence(model: MarkovModel, p: int, realization: dict[int, int]) -> float:
     """Pointwise influence of record p on one joint realization ``{t: x_t}``.
 
-    The empty realization has influence 0; any set containing p itself is
-    rejected (its influence is infinite by convention and never needed here).
+    Equals |l_L(x_l) + l_R(x_r)| over the nearest set index on each side
+    (see :func:`_log_ratios`).  The empty realization has influence 0; any
+    set containing p itself is rejected (its influence is infinite by
+    convention and never needed here).
     """
-    check_index(model.n, p)
-    if not realization:
-        return 0.0
-    indices = sorted(realization)
-    if p in realization:
-        raise ValueError("the private index cannot be part of the observed set")
-    for t in indices:
-        check_index(model.n, t, "set index")
-        if realization[t] not in (0, 1):
-            raise ValueError(f"record value must be 0 or 1, got {realization[t]!r}")
-    bits, influence = _set_influence_rows(model, p, indices)
-    row = sum(realization[t] << j for j, t in enumerate(indices))
-    return float(influence[row])
+    for value in realization.values():
+        if value not in (0, 1):
+            raise ValueError(f"record value must be 0 or 1, got {value!r}")
+    nearest = _nearest_pair(model, p, realization)
+    return abs(sum((_log_ratios(model, abs(t - p))[realization[t]] for t in nearest), 0.0))
 
 
 def max_influence_set(model: MarkovModel, p: int, indices) -> float:
-    """Max influence of record p on a record set, by exhausting 2^|set| realizations.
+    """Max influence of record p on a record set: the largest of four value pairs.
 
-    The empty set has influence 0.  Sets larger than
-    ``SET_ENUMERATION_CAP`` raise :class:`EnumerationCapError` so the
-    brute-force stays a usable oracle.
+    The pointwise influence depends only on the values at the nearest set
+    index on each side, so the max is taken over those at most four pairs.
+    The empty set has influence 0.
     """
-    check_index(model.n, p)
-    ordered = sorted(set(indices))
-    if not ordered:
-        return 0.0
-    if p in ordered:
-        raise ValueError("the private index cannot be part of the observed set")
-    for t in ordered:
-        check_index(model.n, t, "set index")
-    if len(ordered) > SET_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"max influence over {len(ordered)} records needs 2^{len(ordered)} "
-            f"realizations; the cap is {SET_ENUMERATION_CAP}"
-        )
-    _, influence = _set_influence_rows(model, p, ordered)
-    return float(influence.max())
+    nearest = _nearest_pair(model, p, set(indices))
+    ratios = [_log_ratios(model, abs(t - p)) for t in nearest]
+    return max(abs(sum(pair, 0.0)) for pair in product(*ratios))
 
 
-def delta_star(model: MarkovModel, eps: float, cap: int = 10**6) -> int:
+def delta_star(model: MarkovModel, eps: float) -> int:
     """Smallest distance at which the max influence drops to ``eps`` or below.
 
     Exploits the strict monotone decrease of ``influence_high`` (doubling
-    search plus bisection).  ``eps <= 0`` is rejected: the max influence is
-    strictly positive at every finite distance unless the records are
-    independent, in which case distance 1 already suffices for any positive
-    budget.  Raises :class:`EnumerationCapError` if the answer exceeds ``cap``.
+    search plus bisection).  The search always ends: |1 - alpha - beta| < 1
+    in floats, so s^delta underflows to 0, and the influence with it,
+    before delta reaches about 2^63.  A budget that is not positive (NaN
+    included) is rejected: the max influence is strictly positive at every
+    finite distance unless the records are independent, in which case
+    distance 1 already suffices for any positive budget.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     if influence_high(model, 1) <= eps:
         return 1
     low, high = 1, 2
     while influence_high(model, high) > eps:
         low, high = high, high * 2
-        if low > cap:
-            raise EnumerationCapError(
-                f"max influence stays above eps={eps} at every distance up to {cap}"
-            )
     while high - low > 1:
         mid = (low + high) // 2
         if influence_high(model, mid) > eps:
             low = mid
         else:
             high = mid
-    if high > cap:
-        raise EnumerationCapError(
-            f"max influence stays above eps={eps} at every distance up to {cap}"
-        )
     return high
 
 
@@ -252,7 +234,7 @@ def compute_regions(
     influence can be small).
     """
     check_index(model.n, p)
-    if eps_left < 0 or eps_right < 0:
+    if not (eps_left >= 0 and eps_right >= 0):
         raise ValueError("region budgets must be nonnegative")
     small: set[int] = set()
     medium: set[int] = set()

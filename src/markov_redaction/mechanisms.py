@@ -33,7 +33,6 @@ from typing import Mapping
 import numpy as np
 
 from .chain import MarkovModel, stationary_marginal
-from .errors import EnumerationCapError
 from .influence import Regions, check_index, compute_regions, delta_star, influence_high, influence_low
 
 __all__ = [
@@ -130,8 +129,7 @@ class MqPlan:
     """Window choice of the Markov-quilt mechanism.
 
     ``threshold`` records p + delta*(eps) - 2*delta*(eps/2), the sign test
-    that separates the one-sided from the symmetric branch; it is -inf when
-    the distance searches exceed their cap (then it is negative anyway).
+    that separates the one-sided from the symmetric branch.
     """
 
     delta_left: int
@@ -148,8 +146,7 @@ class DimBound:
     ``case`` is "zero" (budget below the farthest record's influence, no
     release possible), "two_sided" (budget covers both chain ends), or
     "one_sided" (everything between).  ``r1``/``r2`` are the redaction
-    counts entering the bound; they are None when the case does not need
-    them and the underlying distance search would not terminate.
+    counts entering the bound; they are None exactly in the "zero" case.
     """
 
     eps: float
@@ -165,13 +162,13 @@ def _default_split(p: int, eps: float) -> tuple[float, float]:
 
 
 def _check_budget(model: MarkovModel, p: int, eps: float, split) -> tuple[float, float]:
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     check_index(model.n, p)
     if split is None:
         return _default_split(p, eps)
     eps_left, eps_right = split
-    if eps_left < 0 or eps_right < 0:
+    if not (eps_left >= 0 and eps_right >= 0):
         raise ValueError("side budgets must be nonnegative")
     if eps_left + eps_right > eps:
         raise ValueError(
@@ -373,13 +370,6 @@ def build_3r_numerical(
     return design, _assemble_table(model, p, regions, q)
 
 
-def _delta_star_or_none(model: MarkovModel, eps: float, cap: int = 10**6) -> int | None:
-    try:
-        return delta_star(model, eps, cap=cap)
-    except EnumerationCapError:
-        return None
-
-
 def build_mq(
     model: MarkovModel, p: int, eps: float
 ) -> tuple[MqPlan, RedactionMechanism]:
@@ -391,7 +381,7 @@ def build_mq(
     symmetrically to both sides.  For p in the right half of the chain the
     construction runs on the mirrored chain and the table is mirrored back.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     check_index(model.n, p)
     if p > model.n + 1 - p:  # strictly right of center: run on the mirrored chain
@@ -406,24 +396,15 @@ def build_mq(
         return mirrored, mechanism.mirrored()
 
     n = model.n
-    d_eps = _delta_star_or_none(model, eps)
-    d_half = _delta_star_or_none(model, eps / 2.0)
-    if d_eps is None or d_half is None:
-        # d*(eps/2) >= d*(eps), so a capped-out search forces the threshold
-        # below zero regardless of its exact value.
-        threshold = -math.inf
-    else:
-        threshold = float(p + d_eps - 2 * d_half)
+    d_eps = delta_star(model, eps)
+    d_half = delta_star(model, eps / 2.0)
+    threshold = float(p + d_eps - 2 * d_half)
 
     edge_budget = influence_high(model, n + 1 - p) + influence_high(model, p - 1)
     if p == 1 or eps < edge_budget or threshold < 0:
         branch = "one_sided"
         delta_left = p - 1
-        if influence_high(model, n - p) <= eps:
-            # delta_star terminates within n - p here.
-            delta_right = min(delta_star(model, eps), n - p)
-        else:
-            delta_right = n - p
+        delta_right = min(d_eps, n - p)
     else:
         branch = "symmetric"
         delta_left = delta_right = d_half
@@ -459,7 +440,7 @@ def dim_upper_bound(model: MarkovModel, p: int, eps: float) -> DimBound:
     2*delta*(eps/2) - 1).  Accepts eps = 0.  p is mirrored into the left
     half of the chain first.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
     check_index(model.n, p)
     p = min(p, model.n + 1 - p)
@@ -468,12 +449,7 @@ def dim_upper_bound(model: MarkovModel, p: int, eps: float) -> DimBound:
         return DimBound(eps=eps, case="zero", r1=None, r2=None, value=0.0)
     two_sided = eps >= influence_high(model, p - 1) + influence_high(model, n - p)
     r1 = _dim_delta_star(model, eps) + p - 1
-    try:
-        r2 = min(r1, 2 * _dim_delta_star(model, eps / 2.0) - 1)
-    except EnumerationCapError:
-        if two_sided:
-            raise
-        r2 = None  # the one-sided bound does not need it
+    r2 = min(r1, 2 * _dim_delta_star(model, eps / 2.0) - 1)
     if two_sided:
         return DimBound(eps=eps, case="two_sided", r1=r1, r2=r2, value=1.0 - r2 / n)
     return DimBound(eps=eps, case="one_sided", r1=r1, r2=r2, value=1.0 - r1 / n)

@@ -7,11 +7,13 @@ first-release audit, so agreement is meaningful.  ``enumerated_leakage``
 is a second, vectorised audit oracle that exhausts all 3^n outputs (practical
 up to n of about 13); it re-evaluates its witness through the package's
 ``output_probability``, which the joint-table oracle checks in turn.
-``leakage_lower_bound_check`` tests the audit against the influence lower
-bounds.  ``side_chain`` cuts a mechanism to one side of p, and
-``linear_scan_design`` is the numerical 3R search as a plain upward scan of
-the grid, scoring each candidate by the full audit of that restricted side
-chain: the reference for the package's bisection and its side pass.
+``set_influence_rows`` enumerates the set influence of every joint
+realization of a record set, and ``leakage_lower_bound_check`` tests the
+audit against those influence lower bounds.  ``side_chain`` cuts a
+mechanism to one side of p, and ``linear_scan_design`` is the numerical 3R
+search as a plain upward scan of the grid, scoring each candidate by the
+full audit of that restricted side chain: the reference for the package's
+bisection and its side pass.
 ``reference_mq_lower_bound`` derives the Markov-quilt lower bound without
 ``dim_upper_bound``.
 """
@@ -22,17 +24,16 @@ from itertools import product
 import numpy as np
 
 from markov_redaction import (
-    EnumerationCapError,
     LeakageReport,
     MarkovModel,
     RedactionMechanism,
     delta_star,
     exact_leakage,
     influence_high,
+    multi_step,
     output_probability,
     stationary_marginal,
 )
-from markov_redaction.influence import SET_ENUMERATION_CAP, _set_influence_rows
 from markov_redaction.mechanisms import (
     _FEASIBILITY_SLACK,
     _assemble_table,
@@ -305,6 +306,48 @@ def enumerated_leakage(model, mechanism, per_side: bool = True) -> LeakageReport
 
 # ------------------------------------------------ influence lower bounds
 
+#: Largest record set that set_influence_rows will enumerate (2^cap realizations).
+SET_ENUMERATION_CAP = 20
+
+
+def set_influence_rows(model, p: int, indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise set influence of every joint realization of ``indices``.
+
+    Returns ``(bits, influence)`` where ``bits`` has shape ``(2^k, k)`` with
+    column j holding the value assigned to ``indices[j]`` (indices sorted
+    ascending), and ``influence[r]`` is ``|log ratio|`` of row r's realization.
+
+    The joint conditional ``Pr[X_S = x_S | X_p = x]`` is a product of
+    multi-step transition factors walked outward from p on each side
+    (backward steps reuse the forward matrix by stationarity), every factor
+    kept, so the cost is ``O(2^k * k)`` rather than requiring the full joint
+    table.  Sets larger than ``SET_ENUMERATION_CAP`` raise ValueError.
+    """
+    k = len(indices)
+    if k > SET_ENUMERATION_CAP:
+        raise ValueError(
+            f"{k} records need 2^{k} realizations; the cap is {SET_ENUMERATION_CAP}"
+        )
+    rows = 1 << k
+    bits = (np.arange(rows)[:, None] >> np.arange(k)[None, :]) & 1
+    log_joint = np.zeros((2, rows))
+    column = {t: j for j, t in enumerate(indices)}
+    right = [t for t in indices if t > p]
+    left = [t for t in indices if t < p][::-1]
+    for side in (right, left):
+        previous = p
+        prev_values = None  # None marks the conditioning record itself
+        for t in side:
+            log_step = np.log(multi_step(model, abs(t - previous)).matrix())
+            values = bits[:, column[t]]
+            if prev_values is None:
+                log_joint[0] += log_step[0, values]
+                log_joint[1] += log_step[1, values]
+            else:
+                log_joint += log_step[prev_values, values][None, :]
+            previous, prev_values = t, values
+    return bits, np.abs(log_joint[0] - log_joint[1])
+
 
 def leakage_lower_bound_check(model, mechanism, released, slack: float = 1e-9) -> bool:
     """Check the influence lower bounds on the audited leakage.
@@ -325,15 +368,10 @@ def leakage_lower_bound_check(model, mechanism, released, slack: float = 1e-9) -
             raise ValueError("the private record can never be released")
         if table[t - 1].min() >= 1.0:
             raise ValueError(f"record {t} is always redacted, never released")
-    if len(indices) > SET_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"lower-bound check over {len(indices)} records needs "
-            f"2^{len(indices)} realizations; the cap is {SET_ENUMERATION_CAP}"
-        )
     exact = exact_leakage(model, mechanism).leakage
     if not indices:
         return exact + slack >= 0.0
-    bits, influence = _set_influence_rows(model, mechanism.p, indices)
+    bits, influence = set_influence_rows(model, mechanism.p, indices)
     releasable = np.ones(bits.shape[0], dtype=bool)
     for j, t in enumerate(indices):
         allowed = [x for x in (0, 1) if table[t - 1, x] < 1.0]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_redaction import (
-    EnumerationCapError,
     MarkovModel,
     REDACTED,
     RedactionMechanism,
@@ -406,7 +405,7 @@ def test_lower_bound_check_guards():
     wide = RedactionMechanism(
         n=30, p=1, redact_prob=[[1.0, 1.0]] + [[0.0, 0.0]] * 29
     )
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(ValueError, match="the cap is 20"):
         leakage_lower_bound_check(big_model, wide, range(2, 25))
 
 

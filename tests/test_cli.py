@@ -70,6 +70,38 @@ def test_influence_curve_range_validation(capsys):
     assert "t-min" in err
 
 
+def test_influence_curve_alpha_plus_beta_below_float_resolution_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, "influence-curve", "--alpha", "1e-17", "--beta", "1e-17", "--n", "3", "--p", "1"
+    )
+    assert code == 2 and out == ""
+    assert "alpha + beta = 2e-17" in err
+
+
+def test_nan_budgets_exit_two(capsys, tmp_path):
+    model_args = ["--alpha", "0.25", "--beta", "0.5", "--n", "4", "--p", "2"]
+    code, out, err = run_cli(
+        capsys, "redaction-profile", *model_args, "--eps", "1",
+        "--eps-left", "nan", "--eps-right", "0.5",
+    )
+    assert (code, out) == (2, "") and "nonnegative" in err
+    code, out, err = run_cli(capsys, "redaction-profile", *model_args, "--eps", "nan")
+    assert (code, out) == (2, "") and "positive" in err
+    for grid in (["--eps", "nan"], ["--eps", "0.5", "--eps", "nan"]):
+        code, out, err = run_cli(capsys, "utility-curve", *model_args, *grid)
+        assert (code, out) == (2, "") and "strictly increasing and positive" in err
+    path = tmp_path / "mech.json"
+    write_mechanism(
+        path, MarkovModel(2, 0.25, 0.5),
+        RedactionMechanism(n=2, p=1, redact_prob=[[1.0, 1.0], [0.125, 1.0]]), "hand-tuned",
+    )
+    for eps in ("nan", "-0.5"):
+        code, out, err = run_cli(capsys, "audit", str(path), "--eps", eps)
+        assert (code, out) == (2, "") and "nonnegative" in err
+    code, out, _ = run_cli(capsys, "audit", str(path), "--eps", "inf")
+    assert code == 0 and "result: PASS" in out
+
+
 def test_utility_curve_small_sweep(capsys):
     code, out, _ = run_cli(
         capsys, "utility-curve", "--alpha", "0.01", "--beta", "0.8",

@@ -1,9 +1,11 @@
-"""CLI stdout must stay byte-identical to the recorded CSVs in tests/golden/.
+"""CLI stdout must stay byte-identical to the recorded outputs in tests/golden/.
 
 The files were recorded before the audit and the numerical search were
-restructured, so any change in a design, an audited leakage or a
-Monte-Carlo estimate shows up here as a differing byte.  Regenerate one by
-running its command line below and redirecting stdout into the file.
+restructured, and ``example1.txt`` before the set influence became the
+nearest-pair closed form, so any change in a design, an audited leakage, a
+set influence or a Monte-Carlo estimate shows up here as a differing byte.
+Regenerate one by running its command line below and redirecting stdout
+into the file.
 """
 
 from pathlib import Path
@@ -32,6 +34,7 @@ CASES = {
         "redaction-profile", "--alpha", "0.05", "--beta", "0.6", "--n", "400", "--p", "200",
         "--eps", "0.8",
     ],
+    "example1.txt": ["example1"],
 }
 
 

@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_redaction import (
-    EnumerationCapError,
     MarkovModel,
     compute_regions,
     delta_star,
@@ -21,6 +21,7 @@ from oracles import (
     brute_max_influence,
     brute_pointwise_set_influence,
     matrix_power_ratios,
+    set_influence_rows,
 )
 
 
@@ -138,12 +139,56 @@ def test_pointwise_set_influence_against_joint_enumeration():
     assert pointwise_set_influence(model, 2, {}) == 0.0
 
 
+@pytest.mark.parametrize("alpha,beta", MODEL_GRID)
+def test_set_influence_against_enumerated_rows(alpha, beta):
+    # random sets, every factor of the joint kept; 20 indices in the guards test
+    rng = np.random.default_rng(17)
+    for k in [*range(1, 13), 16]:
+        n = int(rng.integers(k + 1, 41))
+        p = int(rng.integers(1, n + 1))
+        others = [t for t in range(1, n + 1) if t != p]
+        indices = sorted(int(t) for t in rng.choice(others, size=k, replace=False))
+        model = MarkovModel(n, alpha, beta)
+        bits, influence = set_influence_rows(model, p, indices)
+        assert max_influence_set(model, p, indices) == pytest.approx(
+            float(influence.max()), abs=1e-13
+        )
+        for row in rng.integers(0, bits.shape[0], size=4):
+            realization = dict(zip(indices, (int(x) for x in bits[row])))
+            assert pointwise_set_influence(model, p, realization) == pytest.approx(
+                float(influence[row]), abs=1e-13
+            )
+
+
 def test_max_influence_set_guards():
     model = MarkovModel(30, 0.25, 0.5)
     with pytest.raises(ValueError, match="private index"):
         max_influence_set(model, 3, {3, 4})
-    with pytest.raises(EnumerationCapError):
-        max_influence_set(model, 1, set(range(2, 24)))
+    with pytest.raises(ValueError, match="set index"):
+        max_influence_set(model, 3, {4, 31})
+    with pytest.raises(ValueError, match="0 or 1"):
+        pointwise_set_influence(model, 3, {4: 2})
+    # 20 indices, the enumeration oracle's largest set
+    indices = [1, *range(7, 26)]
+    _, influence = set_influence_rows(model, 3, indices)
+    assert max_influence_set(model, 3, indices) == pytest.approx(float(influence.max()), abs=1e-13)
+    # a 10^5-index set: only the nearest index on each side of p counts, and
+    # the influence depends on distances alone, so a 3-record joint table
+    # (p = 2 between indices 1 and 3) is the reference
+    big = MarkovModel(200_001, 0.01, 0.8)
+    p = 100_000
+    indices = range(1, big.n + 1, 2)
+    assert len(indices) > 10**5
+    small = MarkovModel(3, 0.01, 0.8)
+    assert max_influence_set(big, p, indices) == max_influence_set(big, p, {p - 1, p + 1})
+    assert max_influence_set(big, p, indices) == pytest.approx(
+        brute_max_influence(small, 2, {1, 3}), abs=1e-13
+    )
+    realization = {t: t % 4 // 2 for t in indices}
+    assert pointwise_set_influence(big, p, realization) == pytest.approx(
+        brute_pointwise_set_influence(small, 2, {1: realization[p - 1], 3: realization[p + 1]}),
+        abs=1e-13,
+    )
 
 
 @pytest.mark.parametrize("alpha,beta", MODEL_GRID)
@@ -190,8 +235,29 @@ def test_delta_star_guards():
         delta_star(model, 0.0)
     with pytest.raises(ValueError):
         delta_star(model, -1.0)
-    with pytest.raises(EnumerationCapError):
-        delta_star(MarkovModel(2, 0.01, 0.02), 1e-12, cap=10)
+    with pytest.raises(ValueError):
+        delta_star(model, math.nan)
+    assert delta_star(model, math.inf) == 1
+    # far past the old 10^6 search limit: the doubling search has no cap
+    slow = MarkovModel(2, 1e-9, 1e-9)
+    for eps in (1.0, 1e-3):
+        star = delta_star(slow, eps)
+        assert star > 10**6
+        assert influence_high(slow, star) <= eps < influence_high(slow, star - 1)
+
+
+def test_alpha_plus_beta_below_float_resolution_is_a_value_error():
+    # 1 - alpha - beta rounds to 1, so every closed form would divide by zero
+    model = MarkovModel(3, 1e-17, 1e-17)
+    for call in (
+        lambda: influence_low(model, 1),
+        lambda: influence_high(model, 2),
+        lambda: max_influence_set(model, 1, {2, 3}),
+        lambda: pointwise_set_influence(model, 2, {1: 0}),
+        lambda: compute_regions(model, 1, 0.5, 0.5),
+    ):
+        with pytest.raises(ValueError, match="alpha \\+ beta = 2e-17"):
+            call()
 
 
 def test_compute_regions_one_sided_example():
@@ -240,6 +306,14 @@ def test_compute_regions_partition_and_membership():
                     assert t in regions.medium
                 else:
                     assert t in regions.small
+
+
+def test_compute_regions_rejects_negative_and_nan_budgets():
+    model = MarkovModel(6, 0.25, 0.5)
+    for budgets in [(-0.1, 1.0), (1.0, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            compute_regions(model, 3, *budgets)
+    assert compute_regions(model, 3, math.inf, math.inf).large == frozenset({3})
 
 
 def test_compute_regions_boundary_diagnostic():

@@ -12,6 +12,7 @@ from markov_redaction import (
     build_3r_relaxation,
     build_mq,
     compute_regions,
+    delta_star,
     dim_upper_bound,
     exact_leakage,
     exact_utility,
@@ -95,6 +96,16 @@ def test_relaxation_budget_guards():
         build_3r_relaxation(FIG_MODEL, 1, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         build_3r_relaxation(FIG_MODEL, 1, 1.0, split=(-0.1, 0.5))
+    # NaN budgets fail every comparison, so each guard is written positively
+    nan = math.nan
+    model = MarkovModel(12, 0.1, 0.5)
+    for build in (build_3r_relaxation, build_3r_numerical):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build(model, 6, 1.0, (nan, nan))
+        with pytest.raises(ValueError, match="nonnegative"):
+            build(model, 6, 1.0, (nan, 0.5))
+        with pytest.raises(ValueError, match="positive"):
+            build(model, 6, nan)
 
 
 def test_relaxation_q_always_in_unit_interval():
@@ -235,6 +246,8 @@ def test_mq_single_record_chain():
 def test_mq_guards():
     with pytest.raises(ValueError):
         build_mq(FIG_MODEL, 1, 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        build_mq(FIG_MODEL, 1, math.nan)
     with pytest.raises(ValueError):
         build_mq(FIG_MODEL, 11, 1.0)
 
@@ -271,6 +284,10 @@ def test_dim_bound_mirrors_and_edge_budgets():
     assert dim_upper_bound(independent, 2, 0.0).value == pytest.approx(0.8, abs=1e-12)
     with pytest.raises(ValueError):
         dim_upper_bound(FIG_MODEL, 1, -0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dim_upper_bound(FIG_MODEL, 1, math.nan)
+    with pytest.raises(ValueError, match="positive"):
+        mq_utility_bounds(FIG_MODEL, 1, math.nan)
 
 
 def test_mq_bounds_examples():
@@ -353,12 +370,33 @@ def test_mq_lower_bound_matches_reference_derivation():
     assert cases == {"zero", "one_sided", "two_sided"}
 
 
-def test_dim_bound_one_sided_skips_a_capped_half_budget_search():
-    # delta*(eps/2) lies past the 10^6 search limit here; the one-sided
-    # bound needs only delta*(eps), so neither bound may raise
+def test_dim_bound_one_sided_with_a_long_half_budget_search():
+    # delta*(eps/2) lies past 10^6 here; the one-sided bound needs only
+    # delta*(eps), yet r2 is still reported
     model = MarkovModel(10, 1e-12, 1e-12)
     eps = influence_high(model, 9) * 1.01
+    half = delta_star(model, eps / 2.0)
+    assert half > 10**6
     bound = dim_upper_bound(model, 1, eps)
-    assert bound.case == "one_sided" and bound.r2 is None
+    assert bound.case == "one_sided"
+    assert bound.r2 == min(bound.r1, 2 * half - 1)
     assert bound.value == 1.0 - bound.r1 / model.n
     assert mq_utility_bounds(model, 1, eps)[0] == reference_mq_lower_bound(model, 1, eps)
+
+
+def test_mq_and_dim_bound_past_a_million_record_distance():
+    # delta*(eps/2) = 1,051,132 > 10^6: the symmetric window and the
+    # two-sided bound both need it
+    model = MarkovModel(2_400_000, 2.85e-6, 2.85e-6)
+    p, eps = 1_200_000, 0.01
+    plan, mech = build_mq(model, p, eps)
+    assert plan.branch == "symmetric"
+    assert plan.window == (148_868, 2_251_132)
+    assert plan.threshold == p + delta_star(model, eps) - 2 * 1_051_132
+    assert mech.redact_prob.sum() == 2 * (plan.window[1] - plan.window[0] + 1)
+    bound = dim_upper_bound(model, p, eps)
+    assert bound.case == "two_sided" and bound.r2 == 2_102_263
+    assert bound.value == 1.0 - 2_102_263 / model.n
+    lower, exact = mq_utility_bounds(model, p, eps)
+    assert lower == reference_mq_lower_bound(model, p, eps)
+    assert lower <= exact <= bound.value
