@@ -145,20 +145,42 @@ def multi_step(model: MarkovModel, delta: int) -> MultiStepTransition:
     )
 
 
+def chain_states(model: MarkovModel, uniforms: np.ndarray) -> np.ndarray:
+    """Chain states driven by ``uniforms`` along the last axis, as int8.
+
+    Record 1 is ``uniforms[..., 0] < Pr[X = 1]``.  Each later uniform u acts
+    on the previous state through P: from 0 the next state is u < alpha,
+    from 1 it is u >= beta.  Under alpha <= beta that is one of three maps,
+    whatever the previous state: u < alpha flips it, alpha <= u < beta
+    resets it to 0, and u >= beta keeps it.  A state is therefore the
+    parity of the flips since the last reset (record 1 counts as a reset
+    followed by a flip when it is 1).  With c the running flip count, that
+    is parity(c) XOR parity(c at the last reset), and c at the last reset
+    is the running maximum of c * reset, because c never decreases.  No
+    loop over records is needed, and the states equal the step-by-step
+    recursion bit for bit.
+    """
+    n = uniforms.shape[-1]
+    _, pi1 = stationary_marginal(model)
+    flips = uniforms < model.alpha
+    resets = uniforms < model.beta
+    resets ^= flips  # alpha <= u < beta, as u < alpha implies u < beta
+    flips[..., 0] = uniforms[..., 0] < pi1
+    resets[..., 0] = False
+    counts = np.cumsum(flips, axis=-1, dtype=np.min_scalar_type(n))  # at most n
+    parity = np.logical_xor.accumulate(flips, axis=-1)  # parity of counts
+    counts *= resets
+    np.maximum.accumulate(counts, axis=-1, out=counts)  # in place: c at the last reset
+    counts &= 1
+    states = counts.astype(np.int8)
+    states ^= parity
+    return states
+
+
 def sample_path(model: MarkovModel, seed: int) -> Path:
     """Sample one realization: X_1 from the stationary marginal, then step with P.
 
     Deterministic given the seed, which is recorded on the returned path.
     """
-    rng = np.random.default_rng(seed)
-    _, pi1 = stationary_marginal(model)
-    uniforms = rng.random(model.n)
-    values = np.empty(model.n, dtype=np.int8)
-    values[0] = uniforms[0] < pi1
-    alpha, beta = model.alpha, model.beta
-    for t in range(1, model.n):
-        if values[t - 1] == 0:
-            values[t] = uniforms[t] < alpha
-        else:
-            values[t] = uniforms[t] >= beta
-    return Path(values=values, seed=seed)
+    uniforms = np.random.default_rng(seed).random(model.n)
+    return Path(values=chain_states(model, uniforms), seed=seed)

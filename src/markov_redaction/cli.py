@@ -21,12 +21,13 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .audit import exact_leakage
 from .chain import MarkovModel, multi_step
-from .influence import check_index, influence_high, influence_low, max_influence_set, pointwise_influence
+from .influence import _influence_prefix, check_index, max_influence_set, pointwise_influence
 from .mechanisms import (
     DEFAULT_GRID_STEPS,
     RedactionMechanism,
@@ -57,17 +58,50 @@ CURVE_KINDS = (KIND_MQ, KIND_RELAX, KIND_NUMERICAL, KIND_DIM, KIND_MQLB)
 TABLE_KINDS = (KIND_MQ, KIND_RELAX, KIND_NUMERICAL)
 
 
+def _formatter(kind: type) -> Callable[[object], str]:
+    """How every number the CLI writes is formatted, by its type.
+
+    Integers (bool included) are written in decimal and everything else as
+    the repr of its float value, which writes infinities as ``inf`` and
+    ``-inf``.
+    """
+    if issubclass(kind, int):
+        return str if kind is int else int.__repr__  # int.__repr__(True) is "1"
+    if issubclass(kind, np.integer):
+        return lambda value: str(int(value))
+    if issubclass(kind, float):
+        return float.__repr__
+    return lambda value: repr(float(value))
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
+    return _formatter(type(value))(value)
 
 
-def _csv(rows) -> str:
-    return "\n".join(",".join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row) for row in rows) + "\n"
+def _format_column(values) -> list[str]:
+    """Every cell of one column as text, each distinct value formatted once.
+
+    A column is either a list of text, written as it is, or a numpy array
+    of numbers, written by :func:`_formatter`.  The array's dtype keeps 1
+    apart from 1.0 ("1" and "1.0"), and distinct values are found by their
+    bits, which keeps 0.0 apart from -0.0 although the two compare equal.
+    """
+    if not isinstance(values, np.ndarray):
+        return values
+    bits = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+    ordered = np.sort(bits)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    numbers = distinct.view(values.dtype).tolist()
+    texts = list(map(_formatter(type(numbers[0])), numbers))
+    return np.array(texts, dtype=object)[np.searchsorted(distinct, bits)].tolist()
+
+
+def _csv(header: list[str], columns) -> str:
+    """CSV text of a header and equally long columns, one line per row."""
+    cells = [_format_column(column) for column in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -151,7 +185,7 @@ def run_utility_curve(spec: SweepSpec) -> str:
     if spec.trials > 0:
         header += [f"mc_{kind}" for kind in TABLE_KINDS if kind in spec.mechanisms]
 
-    rows: list[list] = [header]
+    rows: list[list] = []
     for eps in spec.eps_grid:
         row: list = [eps]
         tables: dict[str, RedactionMechanism] = {}
@@ -185,7 +219,7 @@ def run_utility_curve(spec: SweepSpec) -> str:
                     report = monte_carlo_utility(model, tables[kind], spec.trials, spec.seed)
                     row.append(report.monte_carlo.estimate)
         rows.append(row)
-    return _csv(rows)
+    return _csv(header, [np.array(column) for column in zip(*rows)])
 
 
 def _cmd_influence_curve(args) -> int:
@@ -195,11 +229,14 @@ def _cmd_influence_curve(args) -> int:
     if not (1 <= t_min <= t_max <= model.n):
         raise ValueError(f"need 1 <= t-min <= t-max <= {model.n}")
     check_index(model.n, args.p)
-    rows: list[list] = [["t", "delta", "i_low", "i_high"]]
-    for t in range(t_min, t_max + 1):
-        delta = abs(t - args.p)
-        rows.append([t, delta, influence_low(model, delta), influence_high(model, delta)])
-    _emit(_csv(rows), args.out)
+    t = np.arange(t_min, t_max + 1)
+    delta = np.abs(t - args.p)
+    lows, highs = _influence_prefix(model, int(delta.max()))
+    # Distance 0 is infinite; past the prefix both forms are exactly 0.0.
+    at = np.minimum(delta, len(lows) + 1)
+    i_low = np.array([math.inf, *lows, 0.0])[at]
+    i_high = np.array([math.inf, *highs, 0.0])[at]
+    _emit(_csv(["t", "delta", "i_low", "i_high"], [t, delta, i_low, i_high]), args.out)
     return EXIT_OK
 
 
@@ -237,7 +274,8 @@ def _cmd_redaction_profile(args) -> int:
             f"redaction profiles exist only for {list(TABLE_KINDS)}; got {sorted(unknown)}"
         )
     split = _split_of(args)
-    rows: list[list] = [["t", "mechanism", "r_t0", "r_t1"]]
+    kinds: list[str] = []
+    tables: list[np.ndarray] = []
     for kind in TABLE_KINDS:
         if kind not in requested:
             continue
@@ -247,9 +285,11 @@ def _cmd_redaction_profile(args) -> int:
             _, mech = build_3r_relaxation(model, args.p, args.eps, split)
         else:
             _, mech = build_3r_numerical(model, args.p, args.eps, split, grid_steps=args.grid_steps)
-        for t in range(1, model.n + 1):
-            rows.append([t, kind, mech.redact_prob[t - 1, 0], mech.redact_prob[t - 1, 1]])
-    _emit(_csv(rows), args.out)
+        kinds += [kind] * model.n
+        tables.append(mech.redact_prob)
+    table = np.concatenate(tables)
+    t = np.tile(np.arange(1, model.n + 1), len(tables))
+    _emit(_csv(["t", "mechanism", "r_t0", "r_t1"], [t, kinds, table[:, 0], table[:, 1]]), args.out)
     return EXIT_OK
 
 

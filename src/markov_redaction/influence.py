@@ -201,19 +201,30 @@ class Regions:
 
     Indices left of p are classified against ``eps_left``, indices right of
     p against ``eps_right``; p sits on both sides and lands in ``large``
-    either way (its self-influence is infinite).  ``near_boundary`` lists
-    indices whose classification sat within ``BOUNDARY_TOLERANCE`` of the
-    budget: the comparisons themselves are exact, so this is a diagnostic,
-    not a fuzz band.
+    either way (its self-influence is infinite).  ``near_boundary`` lists,
+    in increasing order, the indices whose classification sat within
+    ``BOUNDARY_TOLERANCE`` of the budget: the comparisons themselves are
+    exact, so this is a diagnostic, not a fuzz band.
+
+    Only ``medium`` and ``large`` are stored.  Both lie within the distance
+    at which the closed forms reach their exact zero tail (see
+    :func:`_influence_prefix`), so their size does not grow with n on a
+    long chain; ``small`` is everything else and is built on demand, an
+    O(n) set meant for tests and demos, not for the builders.
     """
 
+    n: int
     p: int
     eps_left: float
     eps_right: float
-    small: frozenset[int]
     medium: frozenset[int]
     large: frozenset[int]
     near_boundary: tuple[int, ...] = ()
+
+    @property
+    def small(self) -> frozenset[int]:
+        """Indices released always: neither medium nor large."""
+        return frozenset(range(1, self.n + 1)) - self.medium - self.large
 
     def medium_by_distance(self, side: int) -> list[int]:
         """Medium indices on one side of p (side=-1 left, +1 right), nearest first."""
@@ -221,6 +232,33 @@ class Regions:
             raise ValueError("side must be -1 (left) or +1 (right)")
         picked = [t for t in self.medium if (t - self.p) * side > 0]
         return sorted(picked, key=lambda t: abs(t - self.p))
+
+
+def _influence_prefix(model: MarkovModel, max_delta: int) -> tuple[list[float], list[float]]:
+    """``influence_low`` and ``influence_high`` at distances 1, 2, ... before their zero tail.
+
+    Entry delta - 1 of each list is the closed form at distance delta.  The
+    lists stop at ``max_delta`` or at the first distance where
+    c * |s^delta|, with c = max(beta/alpha, 1) the larger coefficient of the
+    two forms, is so small that 1 + c * |s^delta| and 1 - c * |s^delta| both
+    round to 1, whichever comes first.  From there on both forms are
+    exactly log(1 / 1) = 0.0 at every distance up to ``max_delta``: the
+    computed |s|^delta never grows with delta (float ``pow`` is monotone in
+    its exponent for a base inside (-1, 1)), and rounding is monotone, so
+    every later numerator 1 + c' * s^delta and denominator 1 - s^delta
+    (c' <= c) also rounds to 1.  The lists are not monotone near the tail:
+    the float values can rise by an ulp from one distance to the next.
+    """
+    lows: list[float] = []
+    highs: list[float] = []
+    ratio = model.beta / model.alpha
+    for delta in range(1, max_delta + 1):
+        term = abs(ratio * _decay(model, delta))
+        if 1.0 + term == 1.0 and 1.0 - term == 1.0:
+            break
+        lows.append(influence_low(model, delta))
+        highs.append(influence_high(model, delta))
+    return lows, highs
 
 
 def compute_regions(
@@ -231,39 +269,42 @@ def compute_regions(
     An index lands in large when even the value-0 influence exceeds the
     budget, in medium when only the value-1 influence does, and in small
     when both fit.  Zero budgets are allowed (then nothing with positive
-    influence can be small).
+    influence can be small).  Each side compares the closed forms of
+    :func:`_influence_prefix` distance by distance; past that prefix both
+    forms are exactly 0.0, so the rest of the side is small, and it is
+    near the boundary exactly when the side budget is at most
+    ``BOUNDARY_TOLERANCE``.  The cost is set by the prefix, not by n.
     """
     check_index(model.n, p)
     if not (eps_left >= 0 and eps_right >= 0):
         raise ValueError("region budgets must be nonnegative")
-    small: set[int] = set()
-    medium: set[int] = set()
-    large: set[int] = {p}
+    n = model.n
+    lows, highs = _influence_prefix(model, max(p - 1, n - p))
+    medium: list[int] = []
+    large: list[int] = [p]
     near: list[int] = []
-    for t in range(1, model.n + 1):
-        if t == p:
-            continue
-        budget = eps_left if t < p else eps_right
-        delta = abs(p - t)
-        low = influence_low(model, delta)
-        high = influence_high(model, delta)
-        if low > budget:
-            large.add(t)
-        elif high > budget:
-            medium.add(t)
-        else:
-            small.add(t)
-        if (
-            abs(low - budget) <= BOUNDARY_TOLERANCE
-            or abs(high - budget) <= BOUNDARY_TOLERANCE
-        ):
-            near.append(t)
+    for side, budget, length in ((-1, eps_left, p - 1), (1, eps_right, n - p)):
+        for delta, low, high in zip(range(1, length + 1), lows, highs):
+            t = p + side * delta
+            if low > budget:
+                large.append(t)
+            elif high > budget:
+                medium.append(t)
+            if (
+                abs(low - budget) <= BOUNDARY_TOLERANCE
+                or abs(high - budget) <= BOUNDARY_TOLERANCE
+            ):
+                near.append(t)
+        if budget <= BOUNDARY_TOLERANCE:  # the zero tail is within tolerance too
+            near += range(1, p - len(lows)) if side == -1 else range(p + len(lows) + 1, n + 1)
     return Regions(
+        n=n,
         p=p,
         eps_left=eps_left,
         eps_right=eps_right,
-        small=frozenset(small),
-        medium=frozenset(medium),
+        # Inserted in index order, as a scan over t would, so that sums over
+        # the set iterate in the same order.
+        medium=frozenset(set(sorted(medium))),
         large=frozenset(large),
-        near_boundary=tuple(near),
+        near_boundary=tuple(sorted(near)),
     )

@@ -33,7 +33,15 @@ from typing import Mapping
 import numpy as np
 
 from .chain import MarkovModel, stationary_marginal
-from .influence import Regions, check_index, compute_regions, delta_star, influence_high, influence_low
+from .influence import (
+    Regions,
+    _influence_prefix,
+    check_index,
+    compute_regions,
+    delta_star,
+    influence_high,
+    influence_low,
+)
 
 __all__ = [
     "RedactionMechanism",
@@ -184,8 +192,9 @@ def _side_deltas(
 
     delta_t looks one step further out, to t+ = t + sign(t - p): zero when
     t+ falls off the chain, the value-0 influence when t+ is still medium,
-    the value-1 influence when t+ is already small.  t+ cannot be large
-    because influence decreases with distance.
+    the value-1 influence when t+ is already small.  t+ can be large only
+    where the computed forms rise from one distance to the next, near
+    1e-16; such a side budget is refused with a ValueError.
     """
     p = regions.p
     medium = regions.medium_by_distance(side)
@@ -196,10 +205,19 @@ def _side_deltas(
             deltas.append(0.0)
         elif t_next in regions.medium:
             deltas.append(influence_low(model, abs(p - t_next)))
-        elif t_next in regions.small:
+        elif t_next not in regions.large:
             deltas.append(influence_high(model, abs(p - t_next)))
-        else:  # pragma: no cover - influence monotonicity makes this unreachable
-            raise AssertionError("outward neighbour of a medium index cannot be large")
+        else:
+            # Both forms fall with distance, but their float values near
+            # 1e-16 can rise by an ulp.  Rewriting them with log1p/expm1
+            # (planned in ROADMAP.md) is the cure; until then such a budget
+            # is refused.
+            eps_side = regions.eps_left if side == -1 else regions.eps_right
+            raise ValueError(
+                f"side budget {eps_side!r} is below the float resolution of the "
+                f"influence closed forms: record {t_next} is large although "
+                f"the nearer record {t} is medium"
+            )
     return medium, deltas
 
 
@@ -227,11 +245,11 @@ def _side_relaxed_bound(
             bound = max(bound, delta_t - log_sum)
         return bound
     p = regions.p
-    small_side = [t for t in regions.small if (t - p) * side > 0]
-    if not small_side:
-        return 0.0
-    nearest = min(abs(t - p) for t in small_side)
-    return influence_high(model, nearest)
+    length = p - 1 if side == -1 else model.n - p
+    nearest = 1  # without medium, the side is a large run, then small
+    while nearest <= length and p + side * nearest in regions.large:
+        nearest += 1
+    return influence_high(model, nearest) if nearest <= length else 0.0
 
 
 def _relaxed_bound(
@@ -245,14 +263,11 @@ def _relaxed_bound(
 def _assemble_table(
     model: MarkovModel, p: int, regions: Regions, q: Mapping[int, float]
 ) -> RedactionMechanism:
-    table = np.empty((model.n, 2))
-    for t in range(1, model.n + 1):
-        if t in regions.small:
-            table[t - 1] = (0.0, 0.0)
-        elif t in regions.medium:
-            table[t - 1] = (q[t], 1.0)
-        else:
-            table[t - 1] = (1.0, 1.0)
+    table = np.zeros((model.n, 2))
+    table[[t - 1 for t in regions.large]] = 1.0
+    medium = sorted(regions.medium)
+    table[[t - 1 for t in medium], 0] = [q[t] for t in medium]
+    table[[t - 1 for t in medium], 1] = 1.0
     return RedactionMechanism(n=model.n, p=p, redact_prob=table)
 
 
@@ -424,10 +439,12 @@ def build_mq(
 
 
 def _dim_delta_star(model: MarkovModel, eps: float) -> int:
-    # eps = 0 only reaches this point for independent records, where every
-    # positive distance already has zero influence.
-    if eps == 0 and model.alpha + model.beta == 1.0:
-        return 1
+    # eps = 0 only reaches this point when the far end's influence is exactly
+    # 0.0; every distance past the last nonzero influence then has zero
+    # influence too.
+    if eps == 0:
+        _, highs = _influence_prefix(model, model.n - 1)
+        return 1 + max((d for d, high in enumerate(highs, 1) if high != 0.0), default=0)
     return delta_star(model, eps)
 
 
@@ -477,8 +494,11 @@ def three_r_utility(design: ThreeRDesign, model: MarkovModel) -> float:
 
     (1/n) * [ |small| + Pr[X = 0] * sum over medium of (1 - q_t) ]: small
     records always release, and a medium record releases exactly when it
-    holds the value 0 and the redaction coin fails.
+    holds the value 0 and the redaction coin fails.  |small| is counted as
+    n - |medium| - |large|.
     """
     pi0, _ = stationary_marginal(model)
-    released_mass = sum(1.0 - design.q[t] for t in design.regions.medium)
-    return (len(design.regions.small) + pi0 * released_mass) / model.n
+    regions = design.regions
+    released_mass = sum(1.0 - design.q[t] for t in regions.medium)
+    small = model.n - len(regions.medium) - len(regions.large)
+    return (small + pi0 * released_mass) / model.n

@@ -15,7 +15,10 @@ search as a plain upward scan of the grid, scoring each candidate by the
 full audit of that restricted side chain: the reference for the package's
 bisection and its side pass.
 ``reference_mq_lower_bound`` derives the Markov-quilt lower bound without
-``dim_upper_bound``.
+``dim_upper_bound``.  ``reference_regions`` classifies every record with
+its own two closed-form calls, and ``loop_sample_path`` and
+``loop_monte_carlo`` step the chain one record at a time: the per-record
+references for the package's zero-tail regions and its vectorised sampler.
 """
 
 import math
@@ -30,10 +33,12 @@ from markov_redaction import (
     delta_star,
     exact_leakage,
     influence_high,
+    influence_low,
     multi_step,
     output_probability,
     stationary_marginal,
 )
+from markov_redaction.influence import BOUNDARY_TOLERANCE
 from markov_redaction.mechanisms import (
     _FEASIBILITY_SLACK,
     _assemble_table,
@@ -440,3 +445,67 @@ def linear_scan_design(model, p, eps, grid_steps):
         side_q[side] = found
     q = {t: side_q[-1 if t < p else 1] for t in regions.medium}
     return q, _assemble_table(model, p, regions, q)
+
+
+def reference_regions(model, p, eps_left, eps_right):
+    """(small, medium, large, near_boundary) from one closed-form pair per record.
+
+    The per-record loop the package's ``compute_regions`` replaced: every
+    index t != p is compared against its side budget with its own
+    ``influence_low`` and ``influence_high`` calls, and near_boundary lists
+    the indices within the boundary tolerance in increasing order.
+    """
+    small, medium, large, near = set(), set(), {p}, []
+    for t in range(1, model.n + 1):
+        if t == p:
+            continue
+        budget = eps_left if t < p else eps_right
+        low = influence_low(model, abs(p - t))
+        high = influence_high(model, abs(p - t))
+        if low > budget:
+            large.add(t)
+        elif high > budget:
+            medium.add(t)
+        else:
+            small.add(t)
+        if abs(low - budget) <= BOUNDARY_TOLERANCE or abs(high - budget) <= BOUNDARY_TOLERANCE:
+            near.append(t)
+    return frozenset(small), frozenset(medium), frozenset(large), tuple(near)
+
+
+def _loop_states(model, uniforms):
+    """Chain states stepped record by record through P from the given uniforms."""
+    _, pi1 = stationary_marginal(model)
+    states = np.empty(uniforms.shape, dtype=np.int8)
+    states[..., 0] = uniforms[..., 0] < pi1
+    for t in range(1, model.n):
+        states[..., t] = np.where(
+            states[..., t - 1] == 0, uniforms[..., t] < model.alpha, uniforms[..., t] >= model.beta
+        )
+    return states
+
+
+def loop_sample_path(model, seed: int) -> np.ndarray:
+    """The values ``sample_path`` must return, from a loop over records."""
+    return _loop_states(model, np.random.default_rng(seed).random(model.n))
+
+
+def loop_monte_carlo(model, mechanism, trials: int, seed: int) -> tuple[float, float]:
+    """(estimate, standard error) ``monte_carlo_utility`` must return, from a loop over records.
+
+    Same streams and the same 2^16-trial blocks as the package.
+    """
+    path_stream, redact_stream = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+    ]
+    n = model.n
+    table = mechanism.redact_prob
+    per_path = np.empty(trials)
+    for done in range(0, trials, 1 << 16):
+        block = min(1 << 16, trials - done)
+        states = _loop_states(model, path_stream.random((block, n)))
+        coins = redact_stream.random((block, n))
+        redacted = coins < table[np.arange(n)[None, :], states]
+        per_path[done : done + block] = 1.0 - redacted.mean(axis=1)
+    standard_error = float(per_path.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
+    return float(per_path.mean()), standard_error

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from markov_redaction import (
@@ -11,7 +12,7 @@ from markov_redaction import (
     influence_low,
     write_mechanism,
 )
-from markov_redaction.cli import main
+from markov_redaction.cli import _csv, _fmt, main
 
 from oracles import enumerated_leakage
 
@@ -76,6 +77,29 @@ def test_influence_curve_alpha_plus_beta_below_float_resolution_exits_two(capsys
     )
     assert code == 2 and out == ""
     assert "alpha + beta = 2e-17" in err
+
+
+def test_redaction_profile_below_float_resolution_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, "redaction-profile", "--alpha", "0.8695656882018187",
+        "--beta", "0.9934615290459773", "--n", "300", "--p", "1", "--eps", "4e-16",
+        "--mechanism", "3r-relaxation",
+    )
+    assert code == 2
+    assert out == ""
+    assert "float resolution" in err and "Traceback" not in err
+
+
+def test_csv_writer_keeps_signed_zeros_and_integer_types_apart():
+    text = _csv(
+        ["x", "k", "y"],
+        [np.array([0.0, -0.0, 0.0, 1.0]), ["a", "b", "a", "b"], np.array([1, 1, 0, 1])],
+    )
+    assert text == "x,k,y\n0.0,a,1\n-0.0,b,1\n0.0,a,0\n1.0,b,1\n"
+    assert _csv(["v"], [np.array([math.inf, -math.inf, 0.1, 1e-300])]) == "v\ninf\n-inf\n0.1\n1e-300\n"
+    assert [_fmt(v) for v in (1, True, 1.0, -0.0, math.inf, np.int64(7), np.float64(0.1))] == [
+        "1", "1", "1.0", "-0.0", "inf", "7", "0.1",
+    ]
 
 
 def test_nan_budgets_exit_two(capsys, tmp_path):

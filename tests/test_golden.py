@@ -1,8 +1,9 @@
 """CLI stdout must stay byte-identical to the recorded outputs in tests/golden/.
 
 The files were recorded before the audit and the numerical search were
-restructured, and ``example1.txt`` before the set influence became the
-nearest-pair closed form, so any change in a design, an audited leakage, a
+restructured, ``example1.txt`` before the set influence became the
+nearest-pair closed form, and the last three cases before the regions, the
+sampler and the CSV writer stopped looping over records, so any change in a design, an audited leakage, a
 set influence or a Monte-Carlo estimate shows up here as a differing byte.
 Regenerate one by running its command line below and redirecting stdout
 into the file.
@@ -35,6 +36,20 @@ CASES = {
         "--eps", "0.8",
     ],
     "example1.txt": ["example1"],
+    # The closed forms rise by an ulp in places near 1e-16 before their zero tail.
+    "influence_curve_a0.8_b0.9_n300_p120.csv": [
+        "influence-curve", "--alpha", "0.8", "--beta", "0.9", "--n", "300", "--p", "120",
+    ],
+    # Both sides end in long runs of records with influence exactly 0.0.
+    "redaction_profile_a0.05_b0.6_n1200_p400_split.csv": [
+        "redaction-profile", "--alpha", "0.05", "--beta", "0.6", "--n", "1200", "--p", "400",
+        "--eps", "1", "--eps-left", "0.2", "--eps-right", "0.8",
+    ],
+    # 70,000 trials cross the sampler's 2^16-trial block edge.
+    "utility_curve_a0.1_b0.5_n4_p2_mc70000.csv": [
+        "utility-curve", "--alpha", "0.1", "--beta", "0.5", "--n", "4", "--p", "2",
+        "--eps", "0.5", "--eps", "2", "--trials", "70000",
+    ],
 }
 
 

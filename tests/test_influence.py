@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markov_redaction import (
@@ -15,9 +15,11 @@ from markov_redaction import (
     pointwise_influence,
     pointwise_set_influence,
 )
+from markov_redaction.influence import _influence_prefix
 
 from oracles import (
     MODEL_GRID,
+    reference_regions,
     brute_max_influence,
     brute_pointwise_set_influence,
     matrix_power_ratios,
@@ -354,3 +356,72 @@ def test_regions_partition_hypothesis(alpha, spread, n, seed, eps_left, eps_righ
     assert union == frozenset(range(1, n + 1))
     assert len(regions.small) + len(regions.medium) + len(regions.large) == n
     assert p in regions.large
+
+
+#: Side budgets the closed forms' float values sit on: 0, one and two ulps
+#: of 1 below 1e-15, the boundary tolerance, and ordinary budgets.
+SPECIAL_BUDGETS = (0.0, 1.1102230246251565e-16, 2.220446049250313e-16, 4e-16, 1e-12, 0.5, 3.0)
+
+
+@st.composite
+def region_cases(draw):
+    """(model, p, eps_left, eps_right) with log-uniform alpha and beta down to 1e-15."""
+    alpha = 10.0 ** draw(st.floats(-15.0, math.log10(0.999)))
+    beta = alpha + draw(st.floats(0.0, 1.0)) * (0.9999 - alpha)
+    n = draw(st.integers(1, 2000))
+    model = MarkovModel(n, alpha, beta)
+    p = draw(st.integers(1, n))
+
+    def budget():
+        kind = draw(st.sampled_from(["special", "uniform", "on a form"]))
+        if kind == "special":
+            return draw(st.sampled_from(SPECIAL_BUDGETS))
+        if kind == "uniform":
+            return draw(st.floats(0.0, 5.0))
+        form = draw(st.sampled_from([influence_low, influence_high]))
+        return form(model, draw(st.integers(1, max(1, n - 1))))
+
+    return model, p, budget(), budget()
+
+
+def _assert_regions_match_the_record_loop(model, p, eps_left, eps_right):
+    regions = compute_regions(model, p, eps_left, eps_right)
+    small, medium, large, near = reference_regions(model, p, eps_left, eps_right)
+    assert regions.medium == medium
+    assert regions.large == large
+    assert regions.small == small
+    assert regions.near_boundary == near
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=region_cases())
+@example(case=(MarkovModel(300, 0.8, 0.9), 120, 1.1102230246251565e-16, 1.1102230246251565e-16))
+@example(case=(MarkovModel(300, 0.8, 0.9), 120, 2.220446049250313e-16, 0.0))
+@example(case=(MarkovModel(300, 0.8695656882018187, 0.9934615290459773), 1, 0.0, 4e-16))
+@example(case=(MarkovModel(2000, 0.999, 0.9999), 700, 1e-12, 0.5))  # s near -1
+@example(case=(MarkovModel(2000, 5e-16, 5e-16), 1000, 3.0, 40.0))  # alpha + beta = 1e-15
+@example(case=(MarkovModel(2000, 0.05, 0.6), 400, 0.0, 0.0))
+@example(case=(MarkovModel(1200, 0.05, 0.6), 400, 0.2, 0.8))
+def test_regions_equal_the_record_loop(case):
+    _assert_regions_match_the_record_loop(*case)
+
+
+def test_regions_on_budgets_equal_to_an_influence_value():
+    model = MarkovModel(60, 0.1, 0.5)
+    for delta in (1, 5, 20):
+        for form in (influence_low, influence_high):
+            budget = form(model, delta)
+            _assert_regions_match_the_record_loop(model, 30, budget, budget)
+            regions = compute_regions(model, 30, budget, budget)
+            assert {30 - delta, 30 + delta} <= set(regions.near_boundary)
+
+
+def test_zero_tail_is_exact_where_the_forms_are_not_monotone():
+    model = MarkovModel(300, 0.8, 0.9)
+    # the float values rise by an ulp from distance 103 to 104
+    assert influence_high(model, 104) > influence_high(model, 103) > 0.0
+    lows, highs = _influence_prefix(model, 299)
+    assert highs[102:104] == [influence_high(model, 103), influence_high(model, 104)]
+    tail = range(len(highs) + 1, 300)
+    assert len(tail) > 0
+    assert all(influence_low(model, d) == influence_high(model, d) == 0.0 for d in tail)

@@ -12,7 +12,7 @@ from markov_redaction import (
     stationary_marginal,
 )
 
-from oracles import MODEL_GRID
+from oracles import MODEL_GRID, loop_sample_path
 
 
 def test_stationary_marginal_values():
@@ -107,6 +107,28 @@ def test_sample_path_deterministic_and_valid():
     assert len(first) == 200
     assert set(np.unique(first.values)) <= {0, 1}
     assert not np.array_equal(first.values, sample_path(model, seed=8).values)
+
+
+@pytest.mark.parametrize(
+    "n,alpha,beta",
+    [
+        (1, 0.25, 0.5),
+        (2, 0.25, 0.5),
+        (2, 0.3, 0.3),  # alpha = beta: no uniform resets the state
+        (500, 0.3, 0.3),
+        (500, 0.01, 0.8),
+        (500, 0.9, 0.95),  # 1 - alpha - beta < 0
+        (300, 1e-9, 1e-9),
+        (5_000, 0.05, 0.6),
+    ],
+)
+def test_sample_path_equals_the_record_loop(n, alpha, beta):
+    model = MarkovModel(n, alpha, beta)
+    for seed in (0, 1, 12345):
+        values = sample_path(model, seed).values
+        expected = loop_sample_path(model, seed)
+        assert values.dtype == expected.dtype == np.int8
+        assert np.array_equal(values, expected)
 
 
 def test_sample_path_matches_stationary_and_transitions():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import markov_redaction.audit
+import markov_redaction.influence
+import markov_redaction.mechanisms
 from markov_redaction import (
     MarkovModel,
     RedactionMechanism,
@@ -288,6 +290,51 @@ def test_dim_bound_mirrors_and_edge_budgets():
         dim_upper_bound(FIG_MODEL, 1, math.nan)
     with pytest.raises(ValueError, match="positive"):
         mq_utility_bounds(FIG_MODEL, 1, math.nan)
+
+
+def test_dim_bound_at_zero_budget_when_the_far_influence_is_exactly_zero():
+    # s = -1e-10: influence_high is nonzero at distance 1 and exactly 0.0 from 2 on
+    model = MarkovModel(40, 0.3, 0.7000000001)
+    assert influence_high(model, 1) > 0.0 == influence_high(model, 2) == influence_high(model, 39)
+    bound = dim_upper_bound(model, 1, 0.0)
+    assert (bound.case, bound.r1, bound.r2, bound.value) == ("one_sided", 2, 2, 0.95)
+    assert dim_upper_bound(model, 40, 0.0) == bound
+    # The zero-tail prefix can end in zeros: here influence_high is 2.2e-16
+    # at distance 37 and 0.0 from 38 on, so R1 = 38.
+    model = MarkovModel(40, 0.05, 0.6)
+    assert influence_high(model, 37) > 0.0 == influence_high(model, 38)
+    bound = dim_upper_bound(model, 1, 0.0)
+    assert (bound.case, bound.r1, bound.r2) == ("one_sided", 38, 38)
+
+
+def test_relaxation_below_float_resolution_is_a_value_error():
+    # Record 248 is medium (low 3.33e-16 <= eps < high 4.44e-16) and record
+    # 249 is large (its low form is 4.44e-16): the float forms rise by an ulp.
+    model = MarkovModel(300, 0.8695656882018187, 0.9934615290459773)
+    regions = compute_regions(model, 1, 0.0, 4e-16)
+    assert 248 in regions.medium and 249 in regions.large
+    with pytest.raises(ValueError, match="float resolution"):
+        build_3r_relaxation(model, 1, 4e-16)
+    with pytest.raises(ValueError, match="float resolution"):
+        build_3r_numerical(model, 1, 4e-16)
+
+
+def test_relaxation_closed_form_calls_do_not_grow_with_n(monkeypatch):
+    calls = []
+    for module in (markov_redaction.influence, markov_redaction.mechanisms):
+        for name in ("influence_low", "influence_high"):
+            real = getattr(module, name)
+
+            def counting(model, delta, real=real):
+                calls.append(delta)
+                return real(model, delta)
+
+            monkeypatch.setattr(module, name, counting)
+    n = 1_000_000
+    model = MarkovModel(n, 0.05, 0.6)
+    design, mech = build_3r_relaxation(model, n // 2, 1.0)
+    assert design.regions.medium and len(calls) <= 2_000
+    assert abs(three_r_utility(design, model) - exact_utility(model, mech).exact) <= 1e-12
 
 
 def test_mq_bounds_examples():

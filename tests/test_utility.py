@@ -13,6 +13,8 @@ from markov_redaction import (
     stationary_marginal,
 )
 
+from oracles import loop_monte_carlo
+
 EXAMPLE_MODEL = MarkovModel(2, 0.25, 0.5)
 EXAMPLE_MECH = RedactionMechanism(n=2, p=1, redact_prob=[[1.0, 1.0], [0.125, 1.0]])
 
@@ -97,6 +99,35 @@ def test_monte_carlo_four_sigma_agreement():
         # the 1e-12 floor covers deterministic mechanisms, where the standard
         # error is zero and only float accumulation noise remains
         assert abs(mc.estimate - report.exact) <= 4 * mc.standard_error + 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,alpha,beta,p,trials",
+    [
+        (1, 0.25, 0.5, 1, 1),
+        (1, 0.25, 0.5, 1, 3),
+        (2, 0.25, 0.5, 1, 1000),
+        (2, 0.25, 0.5, 2, 1000),
+        (4, 0.1, 0.5, 2, 65_537),  # one record past the 2^16-trial block
+        (6, 0.3, 0.3, 1, 5000),  # alpha = beta
+        (6, 0.3, 0.3, 6, 5000),
+        (50, 0.9, 0.95, 50, 300),
+        (2000, 0.05, 0.6, 1000, 40),
+    ],
+)
+def test_monte_carlo_equals_the_record_loop(n, alpha, beta, p, trials):
+    model = MarkovModel(n, alpha, beta)
+    table = np.random.default_rng(n + trials).random((n, 2))
+    table[p - 1] = 1.0
+    mech = RedactionMechanism(n=n, p=p, redact_prob=table)
+    for seed in (0, 9):
+        mc = monte_carlo_utility(model, mech, trials=trials, seed=seed).monte_carlo
+        estimate, standard_error = loop_monte_carlo(model, mech, trials, seed)
+        assert mc.estimate == estimate
+        if trials == 1:
+            assert math.isnan(mc.standard_error) and math.isnan(standard_error)
+        else:
+            assert mc.standard_error == standard_error
 
 
 def test_monte_carlo_full_redaction_exact_zero():
