@@ -164,61 +164,56 @@ class SweepSpec:
             raise ValueError("the budget grid must be strictly increasing and positive")
 
 
+#: utility-curve columns after ``eps``, in output order, each with the
+#: mechanism it belongs to; the ``mc_`` columns need Monte-Carlo trials.
+_CURVE_COLUMNS = (
+    ("dim_ub", KIND_DIM),
+    ("nu_mq_exact", KIND_MQ),
+    ("nu_mq_lb", KIND_MQLB),
+    ("nu_3r_relax", KIND_RELAX),
+    ("nu_3r_numerical", KIND_NUMERICAL),
+    ("leak_3r_relax", KIND_RELAX),
+    ("pass_3r_relax", KIND_RELAX),
+    ("leak_3r_numerical", KIND_NUMERICAL),
+    ("pass_3r_numerical", KIND_NUMERICAL),
+    *((f"mc_{kind}", kind) for kind in TABLE_KINDS),
+)
+
+
 def run_utility_curve(spec: SweepSpec) -> str:
     """CSV text of the sweep; every 3R row carries its audited leakage and pass flag."""
-    model, p = spec.model, spec.p
-    header = ["eps"]
-    if KIND_DIM in spec.mechanisms:
-        header.append("dim_ub")
-    if KIND_MQ in spec.mechanisms:
-        header.append("nu_mq_exact")
-    if KIND_MQLB in spec.mechanisms:
-        header.append("nu_mq_lb")
-    if KIND_RELAX in spec.mechanisms:
-        header.append("nu_3r_relax")
-    if KIND_NUMERICAL in spec.mechanisms:
-        header.append("nu_3r_numerical")
-    if KIND_RELAX in spec.mechanisms:
-        header += ["leak_3r_relax", "pass_3r_relax"]
-    if KIND_NUMERICAL in spec.mechanisms:
-        header += ["leak_3r_numerical", "pass_3r_numerical"]
-    if spec.trials > 0:
-        header += [f"mc_{kind}" for kind in TABLE_KINDS if kind in spec.mechanisms]
-
+    model, p, kinds = spec.model, spec.p, spec.mechanisms
+    header = ["eps"] + [
+        name
+        for name, kind in _CURVE_COLUMNS
+        if kind in kinds and (spec.trials > 0 or not name.startswith("mc_"))
+    ]
     rows: list[list] = []
     for eps in spec.eps_grid:
-        row: list = [eps]
+        cells: dict[str, object] = {"eps": eps}
         tables: dict[str, RedactionMechanism] = {}
-        if KIND_DIM in spec.mechanisms:
-            row.append(dim_upper_bound(model, p, eps).value)
-        if KIND_MQ in spec.mechanisms or KIND_MQLB in spec.mechanisms:
-            lower, exact = mq_utility_bounds(model, p, eps)
-            if KIND_MQ in spec.mechanisms:
-                row.append(exact)
-                if spec.trials > 0:
-                    tables[KIND_MQ] = build_mq(model, p, eps)[1]
-            if KIND_MQLB in spec.mechanisms:
-                row.append(lower)
-        audits: list = []
-        if KIND_RELAX in spec.mechanisms:
-            _, mech = build_3r_relaxation(model, p, eps)
-            tables[KIND_RELAX] = mech
-            row.append(exact_utility(model, mech).exact)
-            leak = exact_leakage(model, mech).leakage
-            audits += [leak, int(leak <= eps + PASS_SLACK)]
-        if KIND_NUMERICAL in spec.mechanisms:
-            _, mech = build_3r_numerical(model, p, eps, grid_steps=spec.grid_steps)
-            tables[KIND_NUMERICAL] = mech
-            row.append(exact_utility(model, mech).exact)
-            leak = exact_leakage(model, mech).leakage
-            audits += [leak, int(leak <= eps + PASS_SLACK)]
-        row += audits
+        if KIND_DIM in kinds:
+            cells["dim_ub"] = dim_upper_bound(model, p, eps).value
+        if KIND_MQ in kinds or KIND_MQLB in kinds:
+            cells["nu_mq_lb"], cells["nu_mq_exact"] = mq_utility_bounds(model, p, eps)
+            if KIND_MQ in kinds and spec.trials > 0:
+                tables[KIND_MQ] = build_mq(model, p, eps)[1]
+        for kind, tag, build, options in (
+            (KIND_RELAX, "relax", build_3r_relaxation, {}),
+            (KIND_NUMERICAL, "numerical", build_3r_numerical, {"grid_steps": spec.grid_steps}),
+        ):
+            if kind in kinds:
+                _, mech = build(model, p, eps, **options)
+                tables[kind] = mech
+                leak = exact_leakage(model, mech).leakage
+                cells[f"nu_3r_{tag}"] = exact_utility(model, mech).exact
+                cells[f"leak_3r_{tag}"] = leak
+                cells[f"pass_3r_{tag}"] = int(leak <= eps + PASS_SLACK)
         if spec.trials > 0:
-            for kind in TABLE_KINDS:
-                if kind in spec.mechanisms:
-                    report = monte_carlo_utility(model, tables[kind], spec.trials, spec.seed)
-                    row.append(report.monte_carlo.estimate)
-        rows.append(row)
+            for kind, mech in tables.items():
+                report = monte_carlo_utility(model, mech, spec.trials, spec.seed)
+                cells[f"mc_{kind}"] = report.monte_carlo.estimate
+        rows.append([cells[name] for name in header])
     return _csv(header, [np.array(column) for column in zip(*rows)])
 
 
@@ -242,9 +237,14 @@ def _cmd_influence_curve(args) -> int:
 
 def _cmd_utility_curve(args) -> int:
     model = MarkovModel(n=args.n, alpha=args.alpha, beta=args.beta)
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     if args.eps:
         grid = tuple(args.eps)
     else:
+        for flag, value in (("--eps-min", args.eps_min), ("--eps-max", args.eps_max)):
+            if not value > 0:
+                raise ValueError(f"{flag} must be positive, got {value!r}")
         grid = tuple(
             float(x)
             for x in np.logspace(

@@ -1,22 +1,27 @@
 """Construction of redaction mechanisms and their closed-form utility bounds.
 
 Every mechanism is a per-record redaction probability table: entry (t, x)
-gives Pr[Y_t = redacted | X_t = x].  Three constructions are provided.
+gives Pr[Y_t = redacted | X_t = x].  Each construction fills one n x 2
+table side by side; a side is the view of its rows walked outward from p
+(``table[:p-1][::-1]`` and ``table[p:]``), the shape the audit's side pass
+reads.  Three constructions are provided.
 
 * Three-region (3R) mechanisms split a total privacy budget between the
   two sides of the private record, classify indices into large/medium/small
   leakage regions per side, always redact large, always release small, and
   randomize medium: a medium record showing the high-influence value 1 is
   always redacted, while the value 0 is redacted with probability q_t.
-  ``build_3r_relaxation`` picks the side-constant q from a closed-form
-  relaxation of the leakage; ``build_3r_numerical`` bisects a grid for the
-  smallest side-constant q whose exact side leakage, from the audit's own
+  One pass per side writes its large and medium rows and derives the
+  delta_t terms; the two builders differ only in how they pick the
+  side-constant q from them.  ``build_3r_relaxation`` takes the
+  closed-form relaxation of the leakage; ``build_3r_numerical`` bisects a
+  grid for the smallest q whose exact side leakage, from the audit's own
   first-release pass over that side, fits the side budget.
 
 * The Markov-quilt (MQ) baseline deterministically redacts a contiguous
   window around the private record, sized from the distances at which the
   max influence drops under the budget (one-sided or symmetric depending
-  on the budget and the record's position).
+  on the budget and on the record's distance to the nearer chain end).
 
 ``dim_upper_bound`` evaluates the utility ceiling for *any* data-independent
 local redaction mechanism, and ``mq_utility_bounds`` the closed-form lower
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -104,15 +109,6 @@ class RedactionMechanism:
                 f"model covers {model.n} records but the mechanism table has {self.n} rows"
             )
 
-    def mirrored(self) -> "RedactionMechanism":
-        """The same mechanism on the index-reversed chain (t -> n + 1 - t)."""
-        return RedactionMechanism(
-            n=self.n,
-            p=self.n + 1 - self.p,
-            redact_prob=self.redact_prob[::-1],
-            enforce_private_redaction=False,
-        )
-
 
 @dataclass(frozen=True)
 class ThreeRDesign:
@@ -185,28 +181,34 @@ def _check_budget(model: MarkovModel, p: int, eps: float, split) -> tuple[float,
     return float(eps_left), float(eps_right)
 
 
-def _side_deltas(
-    model: MarkovModel, regions: Regions, side: int
+def _fill_side(
+    model: MarkovModel, regions: Regions, side: int, rows: np.ndarray
 ) -> tuple[list[int], list[float]]:
-    """Medium indices on one side (nearest first) and their delta_t terms.
+    """Write one side's large and medium rows; return its medium rows and delta_t terms.
 
-    delta_t looks one step further out, to t+ = t + sign(t - p): zero when
-    t+ falls off the chain, the value-0 influence when t+ is still medium,
-    the value-1 influence when t+ is already small.  t+ can be large only
-    where the computed forms rise from one distance to the next, near
-    1e-16; such a side budget is refused with a ValueError.
+    ``rows`` is the side's part of the table walked outward from p: row
+    d - 1 holds the record at distance d.  A large row redacts both values,
+    a medium row redacts the value 1 and leaves its value-0 entry to the
+    side's q.  The medium rows come nearest first.  delta_t looks one record
+    further out: zero off the chain, the value-0 influence when that record
+    is still medium, the value-1 influence when it is already small.  It can
+    be large only where the computed forms rise from one distance to the
+    next, near 1e-16; such a side budget is refused with a ValueError.
     """
     p = regions.p
-    medium = regions.medium_by_distance(side)
+    rows[[abs(t - p) - 1 for t in regions.large if (t - p) * side > 0]] = 1.0
+    medium = [abs(t - p) - 1 for t in regions.medium_by_distance(side)]
+    rows[medium, 1] = 1.0
     deltas: list[float] = []
-    for t in medium:
-        t_next = t + side
-        if not (1 <= t_next <= model.n):
+    for row in medium:
+        distance = row + 2  # of the next record outward
+        t_next = p + side * distance
+        if distance > len(rows):
             deltas.append(0.0)
         elif t_next in regions.medium:
-            deltas.append(influence_low(model, abs(p - t_next)))
+            deltas.append(influence_low(model, distance))
         elif t_next not in regions.large:
-            deltas.append(influence_high(model, abs(p - t_next)))
+            deltas.append(influence_high(model, distance))
         else:
             # Both forms fall with distance, but their float values near
             # 1e-16 can rise by an ulp.  Rewriting them with log1p/expm1
@@ -216,59 +218,63 @@ def _side_deltas(
             raise ValueError(
                 f"side budget {eps_side!r} is below the float resolution of the "
                 f"influence closed forms: record {t_next} is large although "
-                f"the nearer record {t} is medium"
+                f"the nearer record {t_next - side} is medium"
             )
     return medium, deltas
 
 
-def _side_relaxed_bound(
+def _build_3r(
     model: MarkovModel,
-    regions: Regions,
-    side: int,
-    q: Mapping[int, float],
-) -> float:
-    """Relaxation bound of one side's leakage, evaluated at the chosen q.
+    p: int,
+    eps: float,
+    split: tuple[float, float] | None,
+    choose_q: Callable[[np.ndarray, list[int], float, float], float],
+) -> tuple[ThreeRDesign, RedactionMechanism]:
+    """Three-region design whose side-constant q comes from ``choose_q``.
 
-    With medium indices present this is max_t (delta_t - sum of log q over
-    medium indices at distance <= |t - p|).  With an empty medium region
-    the released side is a pure small-region suffix whose leakage is
-    exactly the max influence of its nearest index (0 if nothing is
-    released), which keeps the recorded bound sound in every case.
+    Each side's rows are filled by :func:`_fill_side`; then
+    ``choose_q(rows, medium_rows, eps_side, q_relax)`` picks the q of a side
+    with medium records, given the relaxation's closed-form q_relax.  The
+    relaxed bound of such a side is max_t (delta_t - sum of log q over the
+    medium records up to t).  A side without medium records releases a
+    pure small-region suffix past its large run, whose leakage is exactly
+    the max influence of its nearest released record (0 if there is none),
+    which keeps the recorded bound sound in every case.
     """
-    medium, deltas = _side_deltas(model, regions, side)
-    if medium:
-        bound = -math.inf
-        log_sum = 0.0
-        for t, delta_t in zip(medium, deltas):
-            q_t = q[t]
-            log_sum += math.log(q_t) if q_t > 0 else -math.inf
-            bound = max(bound, delta_t - log_sum)
-        return bound
-    p = regions.p
-    length = p - 1 if side == -1 else model.n - p
-    nearest = 1  # without medium, the side is a large run, then small
-    while nearest <= length and p + side * nearest in regions.large:
-        nearest += 1
-    return influence_high(model, nearest) if nearest <= length else 0.0
-
-
-def _relaxed_bound(
-    model: MarkovModel, regions: Regions, q: Mapping[int, float]
-) -> float:
-    return _side_relaxed_bound(model, regions, -1, q) + _side_relaxed_bound(
-        model, regions, 1, q
-    )
-
-
-def _assemble_table(
-    model: MarkovModel, p: int, regions: Regions, q: Mapping[int, float]
-) -> RedactionMechanism:
+    eps_left, eps_right = _check_budget(model, p, eps, split)
+    regions = compute_regions(model, p, eps_left, eps_right)
     table = np.zeros((model.n, 2))
-    table[[t - 1 for t in regions.large]] = 1.0
-    medium = sorted(regions.medium)
-    table[[t - 1 for t in medium], 0] = [q[t] for t in medium]
-    table[[t - 1 for t in medium], 1] = 1.0
-    return RedactionMechanism(n=model.n, p=p, redact_prob=table)
+    table[p - 1] = 1.0
+    q: dict[int, float] = {}
+    bounds: list[float] = []
+    for side, eps_side, rows in ((-1, eps_left, table[: p - 1][::-1]), (1, eps_right, table[p:])):
+        medium, deltas = _fill_side(model, regions, side, rows)
+        if not medium:
+            nearest = 0  # walk the large run to the nearest released row
+            while nearest < len(rows) and rows[nearest, 0] == 1.0:
+                nearest += 1
+            bounds.append(influence_high(model, nearest + 1) if nearest < len(rows) else 0.0)
+            continue
+        q_relax = max(
+            math.exp(-(eps_side - delta_t) / size) for size, delta_t in enumerate(deltas, 1)
+        )
+        q_side = choose_q(rows, medium, eps_side, q_relax)
+        rows[medium, 0] = q_side
+        q.update((p + side * (row + 1), q_side) for row in medium)
+        bound, log_sum = -math.inf, 0.0
+        for delta_t in deltas:
+            log_sum += math.log(q_side) if q_side > 0 else -math.inf
+            bound = max(bound, delta_t - log_sum)
+        bounds.append(bound)
+    design = ThreeRDesign(
+        eps=eps,
+        eps_left=eps_left,
+        eps_right=eps_right,
+        regions=regions,
+        q=q,
+        relaxed_leakage_bound=bounds[0] + bounds[1],
+    )
+    return design, RedactionMechanism(n=model.n, p=p, redact_prob=table)
 
 
 def build_3r_relaxation(
@@ -286,28 +292,7 @@ def build_3r_relaxation(
     puts the whole budget on the right side for p = 1 and splits it evenly
     otherwise.
     """
-    eps_left, eps_right = _check_budget(model, p, eps, split)
-    regions = compute_regions(model, p, eps_left, eps_right)
-    q: dict[int, float] = {}
-    for side, eps_side in ((-1, eps_left), (1, eps_right)):
-        medium, deltas = _side_deltas(model, regions, side)
-        if not medium:
-            continue
-        q_side = max(
-            math.exp(-(eps_side - delta_i) / size)
-            for size, delta_i in zip(range(1, len(medium) + 1), deltas)
-        )
-        for t in medium:
-            q[t] = q_side
-    design = ThreeRDesign(
-        eps=eps,
-        eps_left=eps_left,
-        eps_right=eps_right,
-        regions=regions,
-        q=q,
-        relaxed_leakage_bound=_relaxed_bound(model, regions, q),
-    )
-    return design, _assemble_table(model, p, regions, q)
+    return _build_3r(model, p, eps, split, lambda rows, medium, eps_side, q_relax: q_relax)
 
 
 def build_3r_numerical(
@@ -324,8 +309,9 @@ def build_3r_numerical(
     redaction rows) fits the side budget.  The audited leakage does not
     fall as q rises, so this is the first passing grid value; q = 1 (all of
     medium redacted) is audited first and always fits.  The relaxation's
-    closed-form q joins the candidate set, so the result never does worse
-    than :func:`build_3r_relaxation` even when the grid straddles it.
+    closed-form q, computed from the same side pass without building the
+    relaxation design, joins the candidate set, so the result never does
+    worse than :func:`build_3r_relaxation` even when the grid straddles it.
 
     No joint audit is needed: row p redacts with probability 1, so its
     emission log-ratio is 0 and the total leakage max(|min L + min R|,
@@ -336,22 +322,10 @@ def build_3r_numerical(
 
     if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 1:
         raise ValueError(f"grid_steps must be a positive integer, got {grid_steps!r}")
-    eps_left, eps_right = _check_budget(model, p, eps, split)
-    relax_design, relax_mech = build_3r_relaxation(model, p, eps, (eps_left, eps_right))
-    regions = relax_design.regions
-    table = relax_mech.redact_prob
 
-    side_q: dict[int, float] = {}
-    for side, eps_side in ((-1, eps_left), (1, eps_right)):
-        medium = regions.medium_by_distance(side)
-        if not medium:
-            continue
-        # The side's rows walked outward from p; only the medium q entries vary.
-        rows = (table[: p - 1][::-1] if side == -1 else table[p:]).copy()
-        medium_rows = [abs(t - p) - 1 for t in medium]
-
+    def smallest_fitting_q(rows, medium, eps_side, q_relax):
         def fits(q_side: float) -> bool:
-            rows[medium_rows, 0] = q_side
+            rows[medium, 0] = q_side
             return side_leakage(model, rows) <= eps_side + _FEASIBILITY_SLACK
 
         if not fits(1.0):
@@ -368,21 +342,11 @@ def build_3r_numerical(
             else:
                 failing = middle
         found = passing / grid_steps
-        q_relax = relax_design.q[medium[0]]
         if q_relax < found and fits(q_relax):
             found = q_relax
-        side_q[side] = found
+        return found
 
-    q = {t: side_q[-1 if t < p else 1] for t in regions.medium}
-    design = ThreeRDesign(
-        eps=eps,
-        eps_left=eps_left,
-        eps_right=eps_right,
-        regions=regions,
-        q=q,
-        relaxed_leakage_bound=_relaxed_bound(model, regions, q),
-    )
-    return design, _assemble_table(model, p, regions, q)
+    return _build_3r(model, p, eps, split, smallest_fitting_q)
 
 
 def build_mq(
@@ -390,52 +354,36 @@ def build_mq(
 ) -> tuple[MqPlan, RedactionMechanism]:
     """Markov-quilt baseline: deterministically redact a window around p.
 
-    With d* = delta_star, the window is one-sided ([1, p + min(d*(eps),
-    n-p)]) when p = 1, when the budget cannot cover both chain ends, or
-    when p + d*(eps) - 2 d*(eps/2) < 0; otherwise it extends d*(eps/2)
+    With d* = delta_star and p' = min(p, n + 1 - p) the index mirrored into
+    the left half, the window is one-sided ([1, p' + min(d*(eps), n - p')])
+    when p' = 1, when the budget cannot cover both chain ends, or when
+    p' + d*(eps) - 2 d*(eps/2) < 0; otherwise it extends d*(eps/2)
     symmetrically to both sides.  For p in the right half of the chain the
-    construction runs on the mirrored chain and the table is mirrored back.
+    two extents swap, so the one-sided window runs from p to record n.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     check_index(model.n, p)
-    if p > model.n + 1 - p:  # strictly right of center: run on the mirrored chain
-        plan, mechanism = build_mq(model, model.n + 1 - p, eps)
-        mirrored = MqPlan(
-            delta_left=plan.delta_right,
-            delta_right=plan.delta_left,
-            window=(model.n + 1 - plan.window[1], model.n + 1 - plan.window[0]),
-            branch=plan.branch,
-            threshold=plan.threshold,
-        )
-        return mirrored, mechanism.mirrored()
-
     n = model.n
+    near = min(p, n + 1 - p)
     d_eps = delta_star(model, eps)
     d_half = delta_star(model, eps / 2.0)
-    threshold = float(p + d_eps - 2 * d_half)
+    threshold = float(near + d_eps - 2 * d_half)
 
-    edge_budget = influence_high(model, n + 1 - p) + influence_high(model, p - 1)
-    if p == 1 or eps < edge_budget or threshold < 0:
+    edge_budget = influence_high(model, n + 1 - near) + influence_high(model, near - 1)
+    if near == 1 or eps < edge_budget or threshold < 0:
         branch = "one_sided"
-        delta_left = p - 1
-        delta_right = min(d_eps, n - p)
+        extents = (near - 1, min(d_eps, n - near))
     else:
         branch = "symmetric"
-        delta_left = delta_right = d_half
+        extents = (d_half, d_half)
+    delta_left, delta_right = extents if near == p else extents[::-1]
 
     window = (p - delta_left, p + delta_right)
     table = np.zeros((n, 2))
     table[window[0] - 1 : window[1]] = 1.0
-    mechanism = RedactionMechanism(n=n, p=p, redact_prob=table)
-    plan = MqPlan(
-        delta_left=delta_left,
-        delta_right=delta_right,
-        window=window,
-        branch=branch,
-        threshold=threshold,
-    )
-    return plan, mechanism
+    plan = MqPlan(delta_left, delta_right, window, branch, threshold)
+    return plan, RedactionMechanism(n=n, p=p, redact_prob=table)
 
 
 def _dim_delta_star(model: MarkovModel, eps: float) -> int:
@@ -497,8 +445,10 @@ def three_r_utility(design: ThreeRDesign, model: MarkovModel) -> float:
     holds the value 0 and the redaction coin fails.  |small| is counted as
     n - |medium| - |large|.
     """
-    pi0, _ = stationary_marginal(model)
     regions = design.regions
+    if regions.n != model.n:
+        raise ValueError(f"model covers {model.n} records but the design covers {regions.n}")
+    pi0, _ = stationary_marginal(model)
     released_mass = sum(1.0 - design.q[t] for t in regions.medium)
     small = model.n - len(regions.medium) - len(regions.large)
     return (small + pi0 * released_mass) / model.n

@@ -13,7 +13,9 @@ audit against those influence lower bounds.  ``side_chain`` cuts a
 mechanism to one side of p, and ``linear_scan_design`` is the numerical 3R
 search as a plain upward scan of the grid, scoring each candidate by the
 full audit of that restricted side chain: the reference for the package's
-bisection and its side pass.
+bisection and its side pass; it writes its tables from whole index sets
+with ``_assemble_table``, not from the package's per-side pass.
+``mirrored`` reverses a mechanism's chain for the symmetry checks.
 ``reference_mq_lower_bound`` derives the Markov-quilt lower bound without
 ``dim_upper_bound``.  ``reference_regions`` classifies every record with
 its own two closed-form calls, and ``loop_sample_path`` and
@@ -39,12 +41,7 @@ from markov_redaction import (
     stationary_marginal,
 )
 from markov_redaction.influence import BOUNDARY_TOLERANCE
-from markov_redaction.mechanisms import (
-    _FEASIBILITY_SLACK,
-    _assemble_table,
-    _check_budget,
-    build_3r_relaxation,
-)
+from markov_redaction.mechanisms import _FEASIBILITY_SLACK, _check_budget, build_3r_relaxation
 
 #: Six (alpha, beta) points including an oscillating 1 - alpha - beta < 0 case
 #: and the independent case alpha + beta = 1.
@@ -169,6 +166,16 @@ def restrict(mechanism, lo: int, hi: int, p: int) -> RedactionMechanism:
         n=hi - lo + 1,
         p=p - lo + 1,
         redact_prob=mechanism.redact_prob[lo - 1 : hi],
+        enforce_private_redaction=False,
+    )
+
+
+def mirrored(mechanism) -> RedactionMechanism:
+    """The same mechanism on the index-reversed chain (t -> n + 1 - t)."""
+    return RedactionMechanism(
+        n=mechanism.n,
+        p=mechanism.n + 1 - mechanism.p,
+        redact_prob=mechanism.redact_prob[::-1],
         enforce_private_redaction=False,
     )
 
@@ -409,6 +416,16 @@ def reference_mq_lower_bound(model, p, eps) -> float:
         r2 = 2 * delta_star(model, eps / 2.0) - 1
         return 1.0 - min(r1, r2) / n - 2.0 / n
     return 1.0 - r1 / n - 1.0 / n
+
+
+def _assemble_table(model, p, regions, q) -> RedactionMechanism:
+    """The 3R table written from whole index sets: large redacts, medium takes q."""
+    table = np.zeros((model.n, 2))
+    table[[t - 1 for t in regions.large]] = 1.0
+    medium = sorted(regions.medium)
+    table[[t - 1 for t in medium], 0] = [q[t] for t in medium]
+    table[[t - 1 for t in medium], 1] = 1.0
+    return RedactionMechanism(n=model.n, p=p, redact_prob=table)
 
 
 def linear_scan_design(model, p, eps, grid_steps):

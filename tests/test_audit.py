@@ -26,6 +26,7 @@ from oracles import (
     brute_output_probability,
     enumerated_leakage,
     leakage_lower_bound_check,
+    mirrored,
     side_chain,
 )
 
@@ -357,7 +358,7 @@ def test_long_chain_mirror_symmetry():
     for p in (1, 700, LONG):
         mech = random_mechanism(rng, LONG, p)
         report = exact_leakage(model, mech)
-        mirror = exact_leakage(model, mech.mirrored())
+        mirror = exact_leakage(model, mirrored(mech))
         assert mirror.leakage == pytest.approx(report.leakage, abs=1e-11)
         assert mirror.per_side == report.per_side[::-1]
         assert mirror.outputs_enumerated == report.outputs_enumerated

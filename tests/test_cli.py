@@ -157,6 +157,20 @@ def test_utility_curve_columns_follow_mechanism_subset(capsys):
     header, rows = parse_csv(out)
     assert header == ["eps", "dim_ub", "nu_mq_exact"]
     assert len(rows) == 2
+    code, out, _ = run_cli(
+        capsys, "utility-curve", "--alpha", "0.01", "--beta", "0.8",
+        "--n", "6", "--p", "2", "--eps", "0.5", "--eps", "1.0",
+        "--mechanism", "3r-numerical", "--mechanism", "mq-lb", "--mechanism", "mq",
+        "--trials", "100",
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == [
+        "eps", "nu_mq_exact", "nu_mq_lb", "nu_3r_numerical", "leak_3r_numerical",
+        "pass_3r_numerical", "mc_mq", "mc_3r-numerical",
+    ]
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    assert [row[5] for row in rows] == ["1", "1"]
 
 
 def test_utility_curve_values_rederivable(capsys):
@@ -214,6 +228,16 @@ def test_utility_curve_guards(capsys):
         "--n", "4", "--p", "1", "--eps", "1.0", "--eps", "0.5",
     )
     assert code == 2 and "increasing" in err
+    for flags, named in (
+        (("--eps", "1.0", "--trials", "-5"), "--trials"),
+        (("--eps-min", "0"), "--eps-min"),
+        (("--eps-max", "-1"), "--eps-max"),
+    ):
+        code, out, err = run_cli(
+            capsys, "utility-curve", "--alpha", "0.25", "--beta", "0.5",
+            "--n", "4", "--p", "1", *flags,
+        )
+        assert code == 2 and named in err and out == ""
     # n = 13 is past the old enumeration cap: the sweep runs and its audits are exact
     code, out, _ = run_cli(
         capsys, "utility-curve", "--alpha", "0.25", "--beta", "0.5",

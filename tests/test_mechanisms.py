@@ -24,7 +24,7 @@ from markov_redaction import (
     three_r_utility,
 )
 
-from oracles import linear_scan_design, reference_mq_lower_bound, released_indices
+from oracles import linear_scan_design, mirrored, reference_mq_lower_bound, released_indices
 from test_acceptance import _grid_points
 
 FIG_MODEL = MarkovModel(10, 0.01, 0.8)
@@ -49,9 +49,9 @@ def test_mechanism_validation():
 def test_mechanism_released_indices_and_views():
     _, mech = build_mq(FIG_MODEL, 1, 1.0)
     assert released_indices(mech) == frozenset(range(5, 11))
-    mirrored = mech.mirrored()
-    assert mirrored.p == 10
-    assert np.array_equal(mirrored.redact_prob, mech.redact_prob[::-1])
+    mirror = mirrored(mech)
+    assert mirror.p == 10
+    assert np.array_equal(mirror.redact_prob, mech.redact_prob[::-1])
 
 
 def test_relaxation_reproduces_published_profile():
@@ -227,15 +227,26 @@ def test_mq_tiny_budget_redacts_everything():
 
 
 def test_mq_mirrors_right_half():
-    for n, p in [(10, 8), (9, 7), (9, 5), (2, 2)]:
+    branches = set()
+    for n in (1, 2, 9, 10):
         model = MarkovModel(n, 0.01, 0.8)
-        plan, mech = build_mq(model, p, 1.0)
-        mirror_plan, mirror_mech = build_mq(model, n + 1 - p, 1.0)
-        assert np.array_equal(mech.redact_prob, mirror_mech.redact_prob[::-1])
-        assert plan.delta_left == mirror_plan.delta_right
-        assert plan.window[0] == n + 1 - mirror_plan.window[1]
-        assert mech.p == p
-        assert (mech.redact_prob[p - 1] == 1.0).all()
+        for eps in (0.25, 1.0, 2.0, 4.0):
+            for p in range(1, n + 1):
+                plan, mech = build_mq(model, p, eps)
+                mirror_plan, mirror_mech = build_mq(model, n + 1 - p, eps)
+                assert plan.branch == mirror_plan.branch
+                assert plan.threshold == mirror_plan.threshold
+                assert (plan.delta_left, plan.delta_right) == (
+                    mirror_plan.delta_right,
+                    mirror_plan.delta_left,
+                )
+                assert plan.window == (n + 1 - mirror_plan.window[1], n + 1 - mirror_plan.window[0])
+                assert np.array_equal(mech.redact_prob, mirror_mech.redact_prob[::-1])
+                assert mech.p == p
+                assert (mech.redact_prob[p - 1] == 1.0).all()
+                branches.add((plan.branch, p <= n + 1 - p))
+    # both branches occur on both halves of the chain
+    assert branches == {(b, left) for b in ("one_sided", "symmetric") for left in (True, False)}
 
 
 def test_mq_single_record_chain():
@@ -335,6 +346,39 @@ def test_relaxation_closed_form_calls_do_not_grow_with_n(monkeypatch):
     design, mech = build_3r_relaxation(model, n // 2, 1.0)
     assert design.regions.medium and len(calls) <= 2_000
     assert abs(three_r_utility(design, model) - exact_utility(model, mech).exact) <= 1e-12
+
+
+@pytest.mark.parametrize("p, eps, medium_count", [(1, 1.0, 2), (5, 2.0, 4)])
+def test_numerical_build_makes_one_closed_form_call_per_medium_record(
+    monkeypatch, p, eps, medium_count
+):
+    calls, tables = [], []
+    module = markov_redaction.mechanisms
+    for name in ("influence_low", "influence_high"):
+        real = getattr(module, name)
+
+        def counting(model, delta, real=real):
+            calls.append(delta)
+            return real(model, delta)
+
+        monkeypatch.setattr(module, name, counting)
+    real_mechanism = module.RedactionMechanism
+
+    def constructing(*args, **kwargs):
+        tables.append(1)
+        return real_mechanism(*args, **kwargs)
+
+    monkeypatch.setattr(module, "RedactionMechanism", constructing)
+    design, _ = build_3r_numerical(FIG_MODEL, p, eps)
+    assert len(design.regions.medium) == medium_count
+    assert len(calls) <= medium_count
+    assert len(tables) == 1
+
+
+def test_three_r_utility_checks_the_chain_length():
+    design, _ = build_3r_relaxation(FIG_MODEL, 1, 1.0)
+    with pytest.raises(ValueError, match="5 records.*10"):
+        three_r_utility(design, MarkovModel(5, 0.01, 0.8))
 
 
 def test_mq_bounds_examples():
