@@ -10,7 +10,7 @@ example1           self-check on the two-record worked example
 
 Exit codes: 0 success/pass, 1 audit fail, 2 usage error.
 All output is deterministic byte-for-byte given identical flags and seed;
-files are written atomically (temp file + rename).
+files are written atomically (temp file + rename), with the umask's mode.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +38,7 @@ from .mechanisms import (
 from .mechfile import read_mechanism
 from .utility import exact_utility, monte_carlo_utility
 
-__all__ = ["main", "SweepSpec", "run_utility_curve"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -109,9 +107,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(out)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-csv-")
+    tmp = os.path.join(os.path.dirname(target), f".tmp-csv-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        # Mode "x" creates the file as a plain open does, honouring the umask.
+        with open(tmp, "x", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, target)
     except OSError as err:
@@ -140,28 +139,15 @@ def _split_of(args) -> tuple[float, float] | None:
     return (args.eps_left, args.eps_right)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Parameters of one utility-curve sweep."""
-
-    model: MarkovModel
-    p: int
-    eps_grid: tuple[float, ...]
-    mechanisms: tuple[str, ...]
-    grid_steps: int = DEFAULT_GRID_STEPS
-    trials: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.mechanisms:
-            raise ValueError("at least one mechanism is required")
-        unknown = set(self.mechanisms) - set(CURVE_KINDS)
-        if unknown:
-            raise ValueError(f"unknown mechanism(s): {sorted(unknown)}")
-        if not self.eps_grid:
-            raise ValueError("the budget grid is empty")
-        if any(not b > a for a, b in zip((0.0, *self.eps_grid), self.eps_grid)):
-            raise ValueError("the budget grid must be strictly increasing and positive")
+#: Builder of each of :data:`TABLE_KINDS`, called as
+#: ``build(model, p, eps, split, grid_steps)``; the MQ window has no split.
+_TABLE_BUILDERS = {
+    KIND_MQ: lambda model, p, eps, split, steps: build_mq(model, p, eps)[1],
+    KIND_RELAX: lambda model, p, eps, split, steps: build_3r_relaxation(model, p, eps, split)[1],
+    KIND_NUMERICAL: lambda model, p, eps, split, steps: build_3r_numerical(
+        model, p, eps, split, grid_steps=steps
+    )[1],
+}
 
 
 #: utility-curve columns after ``eps``, in output order, each with the
@@ -179,39 +165,40 @@ _CURVE_COLUMNS = (
     *((f"mc_{kind}", kind) for kind in TABLE_KINDS),
 )
 
+#: Column suffix (after ``nu_3r_``, ``leak_3r_``, ``pass_3r_``) of each
+#: 3R design the sweep audits.
+_AUDITED_TAGS = {KIND_RELAX: "relax", KIND_NUMERICAL: "numerical"}
 
-def run_utility_curve(spec: SweepSpec) -> str:
+
+def _utility_curve(
+    model: MarkovModel, p: int, grid: list[float], kinds: set[str],
+    grid_steps: int, trials: int, seed: int,
+) -> str:
     """CSV text of the sweep; every 3R row carries its audited leakage and pass flag."""
-    model, p, kinds = spec.model, spec.p, spec.mechanisms
     header = ["eps"] + [
         name
         for name, kind in _CURVE_COLUMNS
-        if kind in kinds and (spec.trials > 0 or not name.startswith("mc_"))
+        if kind in kinds and (trials > 0 or not name.startswith("mc_"))
     ]
     rows: list[list] = []
-    for eps in spec.eps_grid:
+    for eps in grid:
         cells: dict[str, object] = {"eps": eps}
-        tables: dict[str, RedactionMechanism] = {}
         if KIND_DIM in kinds:
             cells["dim_ub"] = dim_upper_bound(model, p, eps).value
         if KIND_MQ in kinds or KIND_MQLB in kinds:
             cells["nu_mq_lb"], cells["nu_mq_exact"] = mq_utility_bounds(model, p, eps)
-            if KIND_MQ in kinds and spec.trials > 0:
-                tables[KIND_MQ] = build_mq(model, p, eps)[1]
-        for kind, tag, build, options in (
-            (KIND_RELAX, "relax", build_3r_relaxation, {}),
-            (KIND_NUMERICAL, "numerical", build_3r_numerical, {"grid_steps": spec.grid_steps}),
-        ):
-            if kind in kinds:
-                _, mech = build(model, p, eps, **options)
-                tables[kind] = mech
+        for kind in TABLE_KINDS:
+            if kind not in kinds or (kind == KIND_MQ and trials == 0):
+                continue  # the MQ window's table is needed only for Monte-Carlo
+            mech = _TABLE_BUILDERS[kind](model, p, eps, None, grid_steps)
+            tag = _AUDITED_TAGS.get(kind)
+            if tag:
                 leak = exact_leakage(model, mech).leakage
                 cells[f"nu_3r_{tag}"] = exact_utility(model, mech).exact
                 cells[f"leak_3r_{tag}"] = leak
                 cells[f"pass_3r_{tag}"] = int(leak <= eps + PASS_SLACK)
-        if spec.trials > 0:
-            for kind, mech in tables.items():
-                report = monte_carlo_utility(model, mech, spec.trials, spec.seed)
+            if trials > 0:
+                report = monte_carlo_utility(model, mech, trials, seed)
                 cells[f"mc_{kind}"] = report.monte_carlo.estimate
         rows.append([cells[name] for name in header])
     return _csv(header, [np.array(column) for column in zip(*rows)])
@@ -237,59 +224,41 @@ def _cmd_influence_curve(args) -> int:
 
 def _cmd_utility_curve(args) -> int:
     model = MarkovModel(n=args.n, alpha=args.alpha, beta=args.beta)
-    if args.trials < 0:
-        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
+    for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     if args.eps:
-        grid = tuple(args.eps)
+        grid = args.eps
     else:
-        for flag, value in (("--eps-min", args.eps_min), ("--eps-max", args.eps_max)):
+        for flag, value in (
+            ("--eps-min", args.eps_min),
+            ("--eps-max", args.eps_max),
+            ("--eps-points", args.eps_points),
+        ):
             if not value > 0:
                 raise ValueError(f"{flag} must be positive, got {value!r}")
-        grid = tuple(
-            float(x)
-            for x in np.logspace(
-                math.log10(args.eps_min), math.log10(args.eps_max), args.eps_points
-            )
-        )
-    mechanisms = tuple(dict.fromkeys(args.mechanism)) if args.mechanism else CURVE_KINDS
-    spec = SweepSpec(
-        model=model,
-        p=args.p,
-        eps_grid=grid,
-        mechanisms=mechanisms,
-        grid_steps=args.grid_steps,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    _emit(run_utility_curve(spec), args.out)
+        grid = np.logspace(
+            math.log10(args.eps_min), math.log10(args.eps_max), args.eps_points
+        ).tolist()
+    if any(not b > a for a, b in zip((0.0, *grid), grid)):
+        raise ValueError("the budget grid must be strictly increasing and positive")
+    kinds = set(args.mechanism or CURVE_KINDS)
+    curve = _utility_curve(model, args.p, grid, kinds, args.grid_steps, args.trials, args.seed)
+    _emit(curve, args.out)
     return EXIT_OK
 
 
 def _cmd_redaction_profile(args) -> int:
     model = MarkovModel(n=args.n, alpha=args.alpha, beta=args.beta)
-    requested = tuple(dict.fromkeys(args.mechanism)) if args.mechanism else TABLE_KINDS
-    unknown = set(requested) - set(TABLE_KINDS)
-    if unknown:
-        raise ValueError(
-            f"redaction profiles exist only for {list(TABLE_KINDS)}; got {sorted(unknown)}"
-        )
     split = _split_of(args)
-    kinds: list[str] = []
-    tables: list[np.ndarray] = []
-    for kind in TABLE_KINDS:
-        if kind not in requested:
-            continue
-        if kind == KIND_MQ:
-            _, mech = build_mq(model, args.p, args.eps)
-        elif kind == KIND_RELAX:
-            _, mech = build_3r_relaxation(model, args.p, args.eps, split)
-        else:
-            _, mech = build_3r_numerical(model, args.p, args.eps, split, grid_steps=args.grid_steps)
-        kinds += [kind] * model.n
-        tables.append(mech.redact_prob)
-    table = np.concatenate(tables)
-    t = np.tile(np.arange(1, model.n + 1), len(tables))
-    _emit(_csv(["t", "mechanism", "r_t0", "r_t1"], [t, kinds, table[:, 0], table[:, 1]]), args.out)
+    kinds = [kind for kind in TABLE_KINDS if kind in (args.mechanism or TABLE_KINDS)]
+    table = np.concatenate([
+        _TABLE_BUILDERS[kind](model, args.p, args.eps, split, args.grid_steps).redact_prob
+        for kind in kinds
+    ])
+    t = np.tile(np.arange(1, model.n + 1), len(kinds))
+    names = [kind for kind in kinds for _ in range(model.n)]
+    _emit(_csv(["t", "mechanism", "r_t0", "r_t1"], [t, names, table[:, 0], table[:, 1]]), args.out)
     return EXIT_OK
 
 

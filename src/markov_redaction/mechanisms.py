@@ -307,7 +307,7 @@ def build_3r_numerical(
     Per side, bisects the grid {i / grid_steps} for the smallest value
     whose exact side leakage (:func:`audit.side_leakage` of that side's
     redaction rows) fits the side budget.  The audited leakage does not
-    fall as q rises, so this is the first passing grid value; q = 1 (all of
+    rise as q rises, so this is the first passing grid value; q = 1 (all of
     medium redacted) is audited first and always fits.  The relaxation's
     closed-form q, computed from the same side pass without building the
     relaxation design, joins the candidate set, so the result never does

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -60,6 +62,28 @@ def test_influence_curve_deterministic_and_atomic(capsys, tmp_path):
     assert code3 == 0 and out3 == ""
     assert target.read_text(encoding="utf-8") == first
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+def test_out_files_honour_the_umask(capsys, tmp_path):
+    args = ["influence-curve", "--alpha", "0.01", "--beta", "0.8", "--n", "8", "--p", "1"]
+    previous = os.umask(0o022)
+    try:
+        code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "curve.csv"))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / "curve.csv").stat().st_mode) == 0o644
+
+
+def test_failed_out_write_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, err = run_cli(
+        capsys, "influence-curve", "--alpha", "0.01", "--beta", "0.8",
+        "--n", "8", "--p", "1", "--out", str(target),
+    )
+    assert code == 2 and out == "" and "cannot write" in err
+    assert sorted(tmp_path.iterdir()) == [target]
 
 
 def test_influence_curve_range_validation(capsys):
@@ -232,6 +256,10 @@ def test_utility_curve_guards(capsys):
         (("--eps", "1.0", "--trials", "-5"), "--trials"),
         (("--eps-min", "0"), "--eps-min"),
         (("--eps-max", "-1"), "--eps-max"),
+        (("--eps-points", "0"), "--eps-points"),
+        (("--eps-points", "-3"), "--eps-points"),
+        (("--eps", "1", "--trials", "5", "--seed", "-1"), "--seed"),
+        (("--eps-min", "2", "--eps-max", "1"), "increasing"),
     ):
         code, out, err = run_cli(
             capsys, "utility-curve", "--alpha", "0.25", "--beta", "0.5",
