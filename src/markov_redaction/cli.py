@@ -11,11 +11,17 @@ example1           self-check on the two-record worked example
 Exit codes: 0 success/pass, 1 audit fail, 2 usage error.
 All output is deterministic byte-for-byte given identical flags and seed;
 files are written atomically (temp file + rename), with the umask's mode.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused by every later call; argparse keeps no state
+between parses, so each call gets a fresh namespace and the same output
+as a first-ever call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -29,6 +35,8 @@ from .influence import _influence_prefix, check_index, max_influence_set, pointw
 from .mechanisms import (
     DEFAULT_GRID_STEPS,
     RedactionMechanism,
+    _check_budget,
+    _check_grid_steps,
     build_3r_numerical,
     build_3r_relaxation,
     build_mq,
@@ -224,6 +232,7 @@ def _cmd_influence_curve(args) -> int:
 
 def _cmd_utility_curve(args) -> int:
     model = MarkovModel(n=args.n, alpha=args.alpha, beta=args.beta)
+    _check_grid_steps(args.grid_steps, "--grid-steps")
     for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
@@ -251,6 +260,8 @@ def _cmd_utility_curve(args) -> int:
 def _cmd_redaction_profile(args) -> int:
     model = MarkovModel(n=args.n, alpha=args.alpha, beta=args.beta)
     split = _split_of(args)
+    _check_budget(model, args.p, args.eps, split)
+    _check_grid_steps(args.grid_steps, "--grid-steps")
     kinds = [kind for kind in TABLE_KINDS if kind in (args.mechanism or TABLE_KINDS)]
     table = np.concatenate([
         _TABLE_BUILDERS[kind](model, args.p, args.eps, split, args.grid_steps).redact_prob
@@ -323,6 +334,7 @@ def _cmd_example1(args) -> int:
     return EXIT_OK if not failures else EXIT_AUDIT_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markov-redaction",
@@ -391,8 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as err:

@@ -44,9 +44,6 @@ __all__ = [
     "compute_regions",
 ]
 
-#: |budget - influence| below this is flagged as a region-boundary near miss.
-BOUNDARY_TOLERANCE = 1e-12
-
 
 def _decay(model: MarkovModel, delta: int) -> float:
     """s^delta for s = 1 - alpha - beta, the factor every influence form shares.
@@ -201,10 +198,7 @@ class Regions:
 
     Indices left of p are classified against ``eps_left``, indices right of
     p against ``eps_right``; p sits on both sides and lands in ``large``
-    either way (its self-influence is infinite).  ``near_boundary`` lists,
-    in increasing order, the indices whose classification sat within
-    ``BOUNDARY_TOLERANCE`` of the budget: the comparisons themselves are
-    exact, so this is a diagnostic, not a fuzz band.
+    either way (its self-influence is infinite).
 
     Only ``medium`` and ``large`` are stored.  Both lie within the distance
     at which the closed forms reach their exact zero tail (see
@@ -219,7 +213,6 @@ class Regions:
     eps_right: float
     medium: frozenset[int]
     large: frozenset[int]
-    near_boundary: tuple[int, ...] = ()
 
     @property
     def small(self) -> frozenset[int]:
@@ -271,9 +264,8 @@ def compute_regions(
     when both fit.  Zero budgets are allowed (then nothing with positive
     influence can be small).  Each side compares the closed forms of
     :func:`_influence_prefix` distance by distance; past that prefix both
-    forms are exactly 0.0, so the rest of the side is small, and it is
-    near the boundary exactly when the side budget is at most
-    ``BOUNDARY_TOLERANCE``.  The cost is set by the prefix, not by n.
+    forms are exactly 0.0, so the rest of the side is small.  The cost is
+    set by the prefix, not by n.
     """
     check_index(model.n, p)
     if not (eps_left >= 0 and eps_right >= 0):
@@ -282,7 +274,6 @@ def compute_regions(
     lows, highs = _influence_prefix(model, max(p - 1, n - p))
     medium: list[int] = []
     large: list[int] = [p]
-    near: list[int] = []
     for side, budget, length in ((-1, eps_left, p - 1), (1, eps_right, n - p)):
         for delta, low, high in zip(range(1, length + 1), lows, highs):
             t = p + side * delta
@@ -290,13 +281,6 @@ def compute_regions(
                 large.append(t)
             elif high > budget:
                 medium.append(t)
-            if (
-                abs(low - budget) <= BOUNDARY_TOLERANCE
-                or abs(high - budget) <= BOUNDARY_TOLERANCE
-            ):
-                near.append(t)
-        if budget <= BOUNDARY_TOLERANCE:  # the zero tail is within tolerance too
-            near += range(1, p - len(lows)) if side == -1 else range(p + len(lows) + 1, n + 1)
     return Regions(
         n=n,
         p=p,
@@ -306,5 +290,4 @@ def compute_regions(
         # the set iterate in the same order.
         medium=frozenset(set(sorted(medium))),
         large=frozenset(large),
-        near_boundary=tuple(sorted(near)),
     )

@@ -181,6 +181,11 @@ def _check_budget(model: MarkovModel, p: int, eps: float, split) -> tuple[float,
     return float(eps_left), float(eps_right)
 
 
+def _check_grid_steps(grid_steps, name: str = "grid_steps") -> None:
+    if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 1:
+        raise ValueError(f"{name} must be a positive integer, got {grid_steps!r}")
+
+
 def _fill_side(
     model: MarkovModel, regions: Regions, side: int, rows: np.ndarray
 ) -> tuple[list[int], list[float]]:
@@ -320,8 +325,7 @@ def build_3r_numerical(
     """
     from .audit import side_leakage  # deferred: audit depends on this module
 
-    if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 1:
-        raise ValueError(f"grid_steps must be a positive integer, got {grid_steps!r}")
+    _check_grid_steps(grid_steps)
 
     def smallest_fitting_q(rows, medium, eps_side, q_relax):
         def fits(q_side: float) -> bool:

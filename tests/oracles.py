@@ -40,7 +40,6 @@ from markov_redaction import (
     output_probability,
     stationary_marginal,
 )
-from markov_redaction.influence import BOUNDARY_TOLERANCE
 from markov_redaction.mechanisms import _FEASIBILITY_SLACK, _check_budget, build_3r_relaxation
 
 #: Six (alpha, beta) points including an oscillating 1 - alpha - beta < 0 case
@@ -465,14 +464,13 @@ def linear_scan_design(model, p, eps, grid_steps):
 
 
 def reference_regions(model, p, eps_left, eps_right):
-    """(small, medium, large, near_boundary) from one closed-form pair per record.
+    """(small, medium, large) from one closed-form pair per record.
 
     The per-record loop the package's ``compute_regions`` replaced: every
     index t != p is compared against its side budget with its own
-    ``influence_low`` and ``influence_high`` calls, and near_boundary lists
-    the indices within the boundary tolerance in increasing order.
+    ``influence_low`` and ``influence_high`` calls.
     """
-    small, medium, large, near = set(), set(), {p}, []
+    small, medium, large = set(), set(), {p}
     for t in range(1, model.n + 1):
         if t == p:
             continue
@@ -485,9 +483,7 @@ def reference_regions(model, p, eps_left, eps_right):
             medium.add(t)
         else:
             small.add(t)
-        if abs(low - budget) <= BOUNDARY_TOLERANCE or abs(high - budget) <= BOUNDARY_TOLERANCE:
-            near.append(t)
-    return frozenset(small), frozenset(medium), frozenset(large), tuple(near)
+    return frozenset(small), frozenset(medium), frozenset(large)
 
 
 def _loop_states(model, uniforms):

@@ -1,0 +1,57 @@
+"""The BENCH file summary of ``tools/bench_file.py``, on synthetic run results."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_file.py"
+_SPEC = importlib.util.spec_from_file_location("bench_file", _PATH)
+bench_file = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_file)
+
+METRICS = [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def record(ops_per_s, op_p50_ms, ops=100, failed=0, numpy="2.4.6"):
+    """A result dict shaped like the ones ``bench/run.py`` writes."""
+    return {
+        "python": "3.11.7",
+        "numpy": numpy,
+        "nproc": 2,
+        "ops": ops,
+        "error_rate": failed / ops,
+        "metrics": {
+            "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+            "op_p50_ms": {"value": op_p50_ms, "unit": "ms"},
+        },
+    }
+
+
+def test_spread_of_repeated_runs():
+    stats = bench_file.spread([5.0, 1.0, 3.0, 2.0, 4.0])
+    assert (stats["median"], stats["q1"], stats["q3"]) == (3.0, 2.0, 4.0)
+    assert (stats["min"], stats["max"], stats["repeats"]) == (1.0, 5.0, 5)
+    assert stats["values"] == [5.0, 1.0, 3.0, 2.0, 4.0]  # pair order kept
+    even = bench_file.spread([1.0, 2.0, 3.0, 4.0])
+    assert (even["q1"], even["median"], even["q3"]) == pytest.approx((1.75, 2.5, 3.25))
+    one = bench_file.spread([7.0])
+    assert (one["q1"], one["median"], one["q3"], one["repeats"]) == (7.0, 7.0, 7.0, 1)
+
+
+def test_summary_counts_pairs_won_in_each_metrics_direction():
+    records = {
+        "base": [record(100.0, 10.0), record(110.0, 9.0), record(90.0, 8.0, failed=3)],
+        "head": [record(400.0, 2.0), record(105.0, 9.0), record(300.0, 9.5, numpy="2.4.7")],
+    }
+    summary = bench_file.summarize(records, METRICS)
+    assert summary["head_won_pairs"] == {"ops_per_s": 2, "op_p50_ms": 1}  # a tie wins for neither
+    base, head = summary["base"], summary["head"]
+    assert base["metrics"]["ops_per_s"]["median"] == 100.0
+    assert head["metrics"]["op_p50_ms"]["values"] == [2.0, 9.0, 9.5]
+    assert (base["ops"], base["failed_ops"], head["failed_ops"]) == (300, 3, 0)
+    assert base["python"] == ["3.11.7"] and head["numpy"] == ["2.4.6", "2.4.7"]
+    assert base["nproc"] == [2]

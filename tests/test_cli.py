@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import stat
@@ -14,7 +15,7 @@ from markov_redaction import (
     influence_low,
     write_mechanism,
 )
-from markov_redaction.cli import _csv, _fmt, main
+from markov_redaction.cli import _build_parser, _csv, _fmt, main
 
 from oracles import enumerated_leakage
 
@@ -280,6 +281,79 @@ def test_utility_curve_guards(capsys):
         want = enumerated_leakage(model, mech, per_side=False).leakage
         assert float(record[f"leak_3r_{kind}"]) == pytest.approx(want, abs=1e-12)
         assert record[f"pass_3r_{kind}"] == "1"
+
+
+def test_flags_are_checked_whatever_the_mechanism(capsys):
+    model_args = ("--alpha", "0.01", "--beta", "0.8", "--n", "4", "--p", "2")
+    split = ("--eps", "1", "--eps-left", "5", "--eps-right", "7")
+    errors = {}
+    for kind in ("mq", "3r-relaxation", "3r-numerical"):
+        code, out, errors[kind] = run_cli(
+            capsys, "redaction-profile", *model_args, *split, "--mechanism", kind
+        )
+        assert code == 2 and out == "" and "side budgets" in errors[kind]
+    assert len(set(errors.values())) == 1  # the builders' own message, whatever the mechanism
+    for argv in (
+        ("utility-curve", *model_args, "--eps", "1", "--grid-steps", "0", "--mechanism", "mq"),
+        ("redaction-profile", *model_args, "--eps", "1", "--grid-steps", "-5", "--mechanism", "mq"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "--grid-steps" in err
+
+
+def _first_ever_output(capsys, *argv):
+    """What ``main`` prints for argv with a newly built parser."""
+    _build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+def test_reused_parser_keeps_no_appended_flags(capsys):
+    model_args = ("--alpha", "0.25", "--beta", "0.5", "--n", "4", "--p", "1")
+    first = _first_ever_output(capsys, "utility-curve", *model_args, "--eps-points", "3")
+    appended = run_cli(
+        capsys, "utility-curve", *model_args,
+        "--mechanism", "mq", "--mechanism", "dim-ub", "--eps", "0.5", "--eps", "1",
+    )
+    assert appended[0] == 0 and appended[1].startswith("eps,dim_ub,nu_mq_exact\n")
+    again = run_cli(capsys, "utility-curve", *model_args, "--eps-points", "3")
+    assert again == first and first[0] == 0
+
+
+def test_reused_parser_recovers_from_a_rejected_call(capsys):
+    argv = ("influence-curve", "--alpha", "0.25", "--beta", "0.5", "--n", "4", "--p", "2")
+    first = _first_ever_output(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--t-min", "one"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *argv) == first and first[0] == 0
+
+
+def test_reused_parser_prints_the_same_help(capsys):
+    helps = []
+    _build_parser.cache_clear()
+    for _ in range(2):
+        for argv in (["--help"], ["utility-curve", "--help"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 0
+            helps.append(capsys.readouterr().out)
+    assert helps[:2] == helps[2:] and "--grid-steps" in helps[1]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    run_cli(capsys, "example1")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert run_cli(capsys, "example1")[0] == 0
+    assert constructed == []
 
 
 def test_redaction_profile_published_values(capsys):
