@@ -15,6 +15,7 @@ in both directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,11 +134,20 @@ def multi_step(model: MarkovModel, delta: int) -> MultiStepTransition:
     a_d = alpha/(alpha+beta) * (1 - (1-alpha-beta)^delta) and symmetrically
     for b_d.  ``delta = 0`` is rejected: the identity matrix is trivial and
     does not satisfy the a_d / b_d = alpha / beta invariant.
+
+    For alpha + beta < 1, 1 - (1-alpha-beta)^delta is computed as
+    ``-expm1(delta * log1p(-(alpha + beta)))``, which keeps alpha + beta
+    near float resolution (1 - alpha - beta would round to 1 and lose it);
+    from alpha + beta = 1 on the base is 0 or negative and the power is
+    taken as it is.
     """
     if not isinstance(delta, int) or isinstance(delta, bool) or delta < 1:
         raise ValueError(f"delta must be a positive integer, got {delta!r}")
-    decay = 1.0 - (1.0 - model.alpha - model.beta) ** delta
     total = model.alpha + model.beta
+    if total < 1.0:
+        decay = -math.expm1(delta * math.log1p(-total))
+    else:
+        decay = 1.0 - (1.0 - total) ** delta
     return MultiStepTransition(
         delta=delta,
         alpha_delta=model.alpha / total * decay,

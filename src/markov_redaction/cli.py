@@ -69,7 +69,7 @@ def _formatter(kind: type) -> Callable[[object], str]:
 
     Integers (bool included) are written in decimal and everything else as
     the repr of its float value, which writes infinities as ``inf`` and
-    ``-inf``.
+    ``-inf``.  :func:`_csv` writes the same text a whole column at a time.
     """
     if issubclass(kind, int):
         return str if kind is int else int.__repr__  # int.__repr__(True) is "1"
@@ -84,30 +84,88 @@ def _fmt(value) -> str:
     return _formatter(type(value))(value)
 
 
-def _format_column(values) -> list[str]:
-    """Every cell of one column as text, each distinct value formatted once.
+def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """Text of float columns, each distinct float64 bit pattern formatted once.
 
-    A column is either a list of text, written as it is, or a numpy array
-    of numbers, written by :func:`_formatter`.  The array's dtype keeps 1
-    apart from 1.0 ("1" and "1.0"), and distinct values are found by their
-    bits, which keeps 0.0 apart from -0.0 although the two compare equal.
+    The cells of all columns are cast to float64 (exactly) and found by
+    their bits, which keeps 0.0 apart from -0.0 although the two compare
+    equal.  Each column comes back as a ``(rows, width)`` uint8 array of
+    left-aligned, zero-padded text, gathered from one table of the texts.
     """
-    if not isinstance(values, np.ndarray):
-        return values
-    bits = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+    bits = np.concatenate(columns, dtype=np.float64).view(np.uint64)
     ordered = np.sort(bits)
     first = np.ones(ordered.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     distinct = ordered[first]
-    numbers = distinct.view(values.dtype).tolist()
-    texts = list(map(_formatter(type(numbers[0])), numbers))
-    return np.array(texts, dtype=object)[np.searchsorted(distinct, bits)].tolist()
+    texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=bytes)
+    table = texts.view(np.uint8).reshape(distinct.size, texts.itemsize)
+    at = np.searchsorted(distinct, bits).reshape(len(columns), -1)
+    widths = np.count_nonzero(table, axis=1)[at].max(axis=1).tolist()
+    return [cells[:, :width] for cells, width in zip(np.take(table, at, axis=0), widths)]
+
+
+def _integer_cells(values: np.ndarray) -> np.ndarray:
+    """Decimal text of an integer or bool column, right-aligned and zero-padded.
+
+    The magnitude is taken in uint64 (two's complement negation), so every
+    int64 and uint64 value is exact; the digits come from repeated
+    division by 10, and the places left of a number's first digit stay zero.
+    """
+    magnitude = values.astype(np.uint64)
+    negative = values < 0
+    np.negative(magnitude, out=magnitude, where=negative)
+    largest = int(magnitude.max())
+    digits = len(str(largest))
+    cells = np.zeros((values.size, digits + int(negative.any())), dtype=np.uint8)
+    cells[negative, 0] = ord("-")
+    rest = magnitude.astype(np.min_scalar_type(largest))  # narrower divides faster
+    for place in range(1, digits + 1):
+        shown = rest != 0 if place > 1 else True
+        rest, digit = np.divmod(rest, 10)
+        digit += ord("0")
+        np.copyto(cells[:, -place], digit, casting="unsafe", where=shown)
+    return cells
 
 
 def _csv(header: list[str], columns) -> str:
-    """CSV text of a header and equally long columns, one line per row."""
-    cells = [_format_column(column) for column in columns]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    """CSV text of a header and equally long columns, one line per row.
+
+    A column is a numpy array (or what :func:`numpy.asarray` makes one of)
+    of floats, integers, bools or ASCII text.  A number reads as
+    :func:`_formatter` writes the cell's Python value (``tolist()``), so
+    the dtype keeps 1 apart from 1.0.  The body is one zero-filled
+    ``uint8`` array with a line per row: a slot per column, each followed
+    by a comma or the newline.  Each column's text is copied into its slot
+    at once, and the zero bytes left over are dropped at the end.
+    """
+    columns = [np.asarray(column) for column in columns]
+    head = ",".join(header) + "\n"
+    rows = len(columns[0]) if columns else 0
+    if rows == 0:
+        return head
+    float_columns = [column for column in columns if column.dtype.kind == "f"]
+    floats = iter(_float_cells(float_columns) if float_columns else ())
+    blocks = []
+    for column in columns:
+        kind = column.dtype.kind
+        if kind == "f":
+            blocks.append(next(floats))
+        elif kind in "biu":
+            blocks.append(_integer_cells(column))
+        elif kind in "SU":
+            text = np.ascontiguousarray(column, dtype=bytes)
+            blocks.append(text.view(np.uint8).reshape(rows, text.itemsize))
+        else:
+            raise TypeError(f"cannot write a column of dtype {column.dtype}")
+    body = np.zeros((rows, sum(block.shape[1] + 1 for block in blocks)), dtype=np.uint8)
+    start = 0
+    for block in blocks:
+        end = start + block.shape[1]
+        body[:, start:end] = block
+        body[:, end] = ord(",")
+        start = end + 1
+    body[:, -1] = ord("\n")
+    return head + body[body != 0].tobytes().decode("ascii")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -268,7 +326,7 @@ def _cmd_redaction_profile(args) -> int:
         for kind in kinds
     ])
     t = np.tile(np.arange(1, model.n + 1), len(kinds))
-    names = [kind for kind in kinds for _ in range(model.n)]
+    names = np.repeat(np.array(kinds, dtype=bytes), model.n)
     _emit(_csv(["t", "mechanism", "r_t0", "r_t1"], [t, names, table[:, 0], table[:, 1]]), args.out)
     return EXIT_OK
 

@@ -1,10 +1,13 @@
 import argparse
+import itertools
 import math
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_redaction import (
     MarkovModel,
@@ -125,6 +128,97 @@ def test_csv_writer_keeps_signed_zeros_and_integer_types_apart():
     assert [_fmt(v) for v in (1, True, 1.0, -0.0, math.inf, np.int64(7), np.float64(0.1))] == [
         "1", "1", "1.0", "-0.0", "inf", "7", "0.1",
     ]
+
+
+def reference_csv(header, columns):
+    """The CSV writer cell by cell: ``_fmt`` of each Python value, one join per row."""
+    cells = [
+        [cell.decode("ascii") if isinstance(cell, bytes) else cell if isinstance(cell, str) else _fmt(cell)
+         for cell in np.asarray(column).tolist()]
+        for column in columns
+    ]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def first_difference(header, columns):
+    """(line number, writer's line, reference line) of the first line where
+    ``_csv`` and :func:`reference_csv` differ, or None; cheaper to report
+    than a diff of two long texts."""
+    got, want = _csv(header, columns).split("\n"), reference_csv(header, columns).split("\n")
+    return next(
+        ((k, a, b) for k, (a, b) in enumerate(itertools.zip_longest(got, want)) if a != b), None
+    )
+
+
+SPECIAL_CELLS = {
+    "float64": [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+                2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+                0.1, 1.0, -1.5, 1e16, 1e-5, 123456789.125],
+    "float32": [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-45, 1e-40, 1.1754944e-38,
+                3.4028235e38, 0.1, -2.5],
+    "int64": [0, 1, -1, 9, -9, 10, -10, 99, -100, 2**63 - 1, -(2**63)],
+    "int8": [0, -1, 127, -128],
+    "uint64": [0, 1, 9, 10, 2**63 - 1, 2**63, 2**64 - 1],
+    "bool": [False, True],
+    "bytes": [b"", b"a", b"mq", b"3r-relaxation", b"x y"],
+    "str": ["", "mq", "3r-numerical"],
+}
+
+CELL_STRATEGIES = {
+    "float64": st.floats(),
+    "float32": st.floats(width=32),
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "int8": st.integers(-128, 127),
+    "uint64": st.integers(0, 2**64 - 1),
+    "bool": st.booleans(),
+    "bytes": st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=6).map(str.encode),
+    "str": st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=6),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """Header and columns of 0, 1 or up to 2,000 rows, each column's cells
+    picked by a seeded generator from a drawn pool of up to 12 values."""
+    rows = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(CELL_STRATEGIES)), min_size=1, max_size=6)):
+        cell = st.one_of(st.sampled_from(SPECIAL_CELLS[kind]), CELL_STRATEGIES[kind])
+        pool = draw(st.lists(cell, min_size=1, max_size=12))
+        column = np.array([pool[k] for k in rng.integers(len(pool), size=rows)], dtype=kind)
+        if draw(st.booleans()):
+            column = np.repeat(column, 2)[::2]  # a strided view, as table[:, k] is
+        columns.append(column)
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=csv_tables())
+def test_csv_writer_equals_the_cell_writer(table):
+    assert first_difference(*table) is None
+
+
+def test_csv_writer_equals_the_cell_writer_on_special_values():
+    rng = np.random.default_rng(7)
+    header = list(SPECIAL_CELLS)
+    for rows in (1, 1000):
+        columns = [
+            np.array([cells[k] for k in rng.integers(len(cells), size=rows)], dtype=kind)
+            for kind, cells in SPECIAL_CELLS.items()
+        ]
+        assert first_difference(header, columns) is None
+    # Every special value of each kind, in one table.
+    rows = max(map(len, SPECIAL_CELLS.values()))
+    columns = [np.resize(np.array(cells, dtype=kind), rows) for kind, cells in SPECIAL_CELLS.items()]
+    assert first_difference(header, columns) is None
+
+
+def test_csv_writer_writes_the_header_alone_for_zero_rows():
+    assert _csv(["a"], [np.array([])]) == "a\n"
+    assert _csv(["t", "kind", "x"], [np.array([], dtype=int), np.array([], dtype=bytes), np.array([])]) == (
+        "t,kind,x\n"
+    )
 
 
 def test_nan_budgets_exit_two(capsys, tmp_path):

@@ -7,8 +7,13 @@ sampler and the CSV writer stopped looping over records, so any change in a desi
 set influence or a Monte-Carlo estimate shows up here as a differing byte.
 Regenerate one by running its command line below and redirecting stdout
 into the file.
+
+Outputs of n = 10^5 records are pinned by their sha256 instead, recorded
+before the CSV writer built the whole table as one byte array; regenerate
+one with ``markov-redaction <command line> | sha256sum``.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -58,3 +63,23 @@ def test_cli_output_matches_golden(capsys, name):
     assert main(CASES[name]) == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+LONG = ["--alpha", "0.001", "--beta", "0.004", "--n", "100000", "--p", "30000"]
+LONG_PROFILE = ["redaction-profile", *LONG, "--eps", "1", "--mechanism", "mq", "--mechanism", "3r-relaxation"]
+
+DIGESTS = {
+    # 6,362 distinct i_low values and 6,648 distinct i_high values.
+    "influence_curve_a0.001_b0.004_n100000_p30000.csv.sha256": ["influence-curve", *LONG],
+    "redaction_profile_a0.001_b0.004_n100000_p30000_mq_relax.csv.sha256": LONG_PROFILE,
+    "redaction_profile_a0.001_b0.004_n100000_p30000_mq_relax_split.csv.sha256": [
+        *LONG_PROFILE, "--eps-left", "0.4", "--eps-right", "0.6",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_long_cli_output_matches_recorded_digest(capsys, name):
+    assert main(DIGESTS[name]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == (GOLDEN / name).read_text(encoding="utf-8").strip()

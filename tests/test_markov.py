@@ -56,6 +56,15 @@ def test_multi_step_decay_identity():
     assert 1.0 - step.alpha_delta - step.beta_delta == pytest.approx(0.19**3, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1e-17, 1e-13])
+def test_multi_step_keeps_alpha_near_float_resolution(alpha):
+    # 1 - alpha - beta rounds to 1 (or loses most digits) at these values,
+    # so the decay must not be formed as 1 - (1 - alpha - beta)^delta.
+    step = multi_step(MarkovModel(3, alpha, alpha), 1)
+    assert step.alpha_delta == pytest.approx(alpha, rel=1e-15, abs=0.0)
+    assert step.beta_delta == pytest.approx(alpha, rel=1e-15, abs=0.0)
+
+
 def test_multi_step_rejects_zero():
     with pytest.raises(ValueError, match="positive integer"):
         multi_step(MarkovModel(4, 0.25, 0.5), 0)
