@@ -140,7 +140,7 @@ def _csv(header: list[str], columns) -> str:
     """
     columns = [np.asarray(column) for column in columns]
     head = ",".join(header) + "\n"
-    rows = len(columns[0]) if columns else 0
+    rows = len(columns[0])
     if rows == 0:
         return head
     float_columns = [column for column in columns if column.dtype.kind == "f"]
@@ -159,7 +159,8 @@ def _csv(header: list[str], columns) -> str:
             raise TypeError(f"cannot write a column of dtype {column.dtype}")
     body = np.zeros((rows, sum(block.shape[1] + 1 for block in blocks)), dtype=np.uint8)
     start = 0
-    for block in blocks:
+    while blocks:
+        block = blocks.pop(0)  # freed once copied, which keeps the peak heap lower
         end = start + block.shape[1]
         body[:, start:end] = block
         body[:, end] = ord(",")
