@@ -25,7 +25,6 @@ import functools
 import math
 import os
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -64,24 +63,16 @@ CURVE_KINDS = (KIND_MQ, KIND_RELAX, KIND_NUMERICAL, KIND_DIM, KIND_MQLB)
 TABLE_KINDS = (KIND_MQ, KIND_RELAX, KIND_NUMERICAL)
 
 
-def _formatter(kind: type) -> Callable[[object], str]:
+def _fmt(value) -> str:
     """How every number the CLI writes is formatted, by its type.
 
-    Integers (bool included) are written in decimal and everything else as
-    the repr of its float value, which writes infinities as ``inf`` and
-    ``-inf``.  :func:`_csv` writes the same text a whole column at a time.
+    Integers and bools (Python or numpy) in decimal, everything else as the
+    repr of its float value, which writes infinities as ``inf`` and ``-inf``.
+    :func:`_csv` writes the same text a whole column at a time.
     """
-    if issubclass(kind, int):
-        return str if kind is int else int.__repr__  # int.__repr__(True) is "1"
-    if issubclass(kind, np.integer):
-        return lambda value: str(int(value))
-    if issubclass(kind, float):
-        return float.__repr__
-    return lambda value: repr(float(value))
-
-
-def _fmt(value) -> str:
-    return _formatter(type(value))(value)
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return repr(float(value))
 
 
 def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
@@ -132,7 +123,7 @@ def _csv(header: list[str], columns) -> str:
 
     A column is a numpy array (or what :func:`numpy.asarray` makes one of)
     of floats, integers, bools or ASCII text.  A number reads as
-    :func:`_formatter` writes the cell's Python value (``tolist()``), so
+    :func:`_fmt` writes the cell's Python value (``tolist()``), so
     the dtype keeps 1 apart from 1.0.  The body is one zero-filled
     ``uint8`` array with a line per row: a slot per column, each followed
     by a comma or the newline.  Each column's text is copied into its slot

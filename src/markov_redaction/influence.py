@@ -71,8 +71,7 @@ def influence_low(model: MarkovModel, delta: int) -> float:
         raise ValueError(f"distance must be nonnegative, got {delta!r}")
     if delta == 0:
         return math.inf
-    decay = _decay(model, delta)
-    return abs(math.log((1.0 + model.alpha / model.beta * decay) / (1.0 - decay)))
+    return abs(_log_ratios(model, delta)[0])
 
 
 def influence_high(model: MarkovModel, delta: int) -> float:
@@ -85,18 +84,20 @@ def influence_high(model: MarkovModel, delta: int) -> float:
         raise ValueError(f"distance must be nonnegative, got {delta!r}")
     if delta == 0:
         return math.inf
-    decay = _decay(model, delta)
-    return abs(math.log((1.0 + model.beta / model.alpha * decay) / (1.0 - decay)))
+    return abs(_log_ratios(model, delta)[1])
 
 
 def _log_ratios(model: MarkovModel, delta: int) -> tuple[float, float]:
     """Signed log-ratios l(delta, x) = log P^delta[0, x] - log P^delta[1, x], x = 0, 1.
 
-    Their magnitudes are the low and high forms; l(delta, 0) carries the
-    sign of s^delta and l(delta, 1) the opposite one.  ``delta >= 1``.
+    Both logs of the closed forms share one s^delta and carry its sign, so
+    l(delta, 0) is the low log and l(delta, 1) the high log negated; their
+    magnitudes are the low and high forms.  ``delta >= 1``.
     """
-    sign = math.copysign(1.0, _decay(model, delta))
-    return sign * influence_low(model, delta), -sign * influence_high(model, delta)
+    decay = _decay(model, delta)
+    low = math.log((1.0 + model.alpha / model.beta * decay) / (1.0 - decay))
+    high = math.log((1.0 + model.beta / model.alpha * decay) / (1.0 - decay))
+    return low, -high
 
 
 def check_index(n: int, index: int, name: str = "private index p") -> None:
@@ -249,8 +250,9 @@ def _influence_prefix(model: MarkovModel, max_delta: int) -> tuple[list[float], 
         term = abs(ratio * _decay(model, delta))
         if 1.0 + term == 1.0 and 1.0 - term == 1.0:
             break
-        lows.append(influence_low(model, delta))
-        highs.append(influence_high(model, delta))
+        low, high = _log_ratios(model, delta)
+        lows.append(abs(low))
+        highs.append(abs(high))
     return lows, highs
 
 

@@ -16,7 +16,8 @@ reads.  Three constructions are provided.
   side-constant q from them.  ``build_3r_relaxation`` takes the
   closed-form relaxation of the leakage; ``build_3r_numerical`` bisects a
   grid for the smallest q whose exact side leakage, from the audit's own
-  first-release pass over that side, fits the side budget.
+  first-release pass over the side's rows up to the one past its last
+  medium record, fits the side budget.
 
 * The Markov-quilt (MQ) baseline deterministically redacts a contiguous
   window around the private record, sized from the distances at which the
@@ -31,6 +32,7 @@ within O(1/n) of it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import InitVar, dataclass
 from typing import Callable, Mapping
@@ -238,8 +240,10 @@ def _build_3r(
     """Three-region design whose side-constant q comes from ``choose_q``.
 
     Each side's rows are filled by :func:`_fill_side`; then
-    ``choose_q(rows, medium_rows, eps_side, q_relax)`` picks the q of a side
-    with medium records, given the relaxation's closed-form q_relax.  The
+    ``choose_q(window, medium_rows, eps_side, q_relax)`` picks the q of a
+    side with medium records, given the relaxation's closed-form q_relax;
+    the window ends at the row past the last medium one, released or off
+    the chain, past which no first-release class is supported.  The
     relaxed bound of such a side is max_t (delta_t - sum of log q over the
     medium records up to t).  A side without medium records releases a
     pure small-region suffix past its large run, whose leakage is exactly
@@ -263,7 +267,7 @@ def _build_3r(
         q_relax = max(
             math.exp(-(eps_side - delta_t) / size) for size, delta_t in enumerate(deltas, 1)
         )
-        q_side = choose_q(rows, medium, eps_side, q_relax)
+        q_side = choose_q(rows[: medium[-1] + 2], medium, eps_side, q_relax)
         rows[medium, 0] = q_side
         q.update((p + side * (row + 1), q_side) for row in medium)
         bound, log_sum = -math.inf, 0.0
@@ -310,13 +314,13 @@ def build_3r_numerical(
     """Three-region mechanism with the smallest exactly-audited side-constant q.
 
     Per side, bisects the grid {i / grid_steps} for the smallest value
-    whose exact side leakage (:func:`audit.side_leakage` of that side's
-    redaction rows) fits the side budget.  The audited leakage does not
-    rise as q rises, so this is the first passing grid value; q = 1 (all of
-    medium redacted) is audited first and always fits.  The relaxation's
-    closed-form q, computed from the same side pass without building the
-    relaxation design, joins the candidate set, so the result never does
-    worse than :func:`build_3r_relaxation` even when the grid straddles it.
+    whose exact side leakage (:func:`audit.side_leakage` of the side's rows
+    up to the window end of :func:`_build_3r`) fits the side budget.  The
+    audited leakage does not rise as q rises, so this is the first passing
+    grid value; q = 1 (all of medium redacted) always fits.  The
+    relaxation's closed-form q, computed from the same side pass, joins the
+    candidate set, so the result never does worse than
+    :func:`build_3r_relaxation` even when the grid straddles it.
 
     No joint audit is needed: row p redacts with probability 1, so its
     emission log-ratio is 0 and the total leakage max(|min L + min R|,
@@ -332,20 +336,13 @@ def build_3r_numerical(
             rows[medium, 0] = q_side
             return side_leakage(model, rows) <= eps_side + _FEASIBILITY_SLACK
 
-        if not fits(1.0):
+        index = bisect.bisect_left(range(grid_steps + 1), True, key=lambda i: fits(i / grid_steps))
+        if index > grid_steps:
             raise RuntimeError(
                 "redacting the whole medium region does not fit the side "
                 "budget, which indicates an internal inconsistency"
             )
-        # Grid indices: `passing` fits, and no index up to `failing` does.
-        failing, passing = -1, grid_steps
-        while passing - failing > 1:
-            middle = (failing + passing) // 2
-            if fits(middle / grid_steps):
-                passing = middle
-            else:
-                failing = middle
-        found = passing / grid_steps
+        found = index / grid_steps
         if q_relax < found and fits(q_relax):
             found = q_relax
         return found
@@ -365,9 +362,7 @@ def build_mq(
     symmetrically to both sides.  For p in the right half of the chain the
     two extents swap, so the one-sided window runs from p to record n.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    check_index(model.n, p)
+    _check_budget(model, p, eps, None)
     n = model.n
     near = min(p, n + 1 - p)
     d_eps = delta_star(model, eps)

@@ -125,9 +125,16 @@ def test_csv_writer_keeps_signed_zeros_and_integer_types_apart():
     )
     assert text == "x,k,y\n0.0,a,1\n-0.0,b,1\n0.0,a,0\n1.0,b,1\n"
     assert _csv(["v"], [np.array([math.inf, -math.inf, 0.1, 1e-300])]) == "v\ninf\n-inf\n0.1\n1e-300\n"
-    assert [_fmt(v) for v in (1, True, 1.0, -0.0, math.inf, np.int64(7), np.float64(0.1))] == [
-        "1", "1", "1.0", "-0.0", "inf", "7", "0.1",
-    ]
+    assert [
+        _fmt(v)
+        for v in (
+            1, True, 1.0, -0.0, math.inf, np.int64(7), np.float64(0.1),
+            np.True_, np.bool_(False), np.float32(0.1), np.uint64(2**64 - 1),
+        )
+    ] == ["1", "1", "1.0", "-0.0", "inf", "7", "0.1", "1", "0", "0.10000000149011612",
+          "18446744073709551615"]
+    with pytest.raises(TypeError, match="complex"):
+        _csv(["z"], [np.array([1j, 2.0])])
 
 
 def reference_csv(header, columns):
@@ -387,6 +394,8 @@ def test_flags_are_checked_whatever_the_mechanism(capsys):
         )
         assert code == 2 and out == "" and "side budgets" in errors[kind]
     assert len(set(errors.values())) == 1  # the builders' own message, whatever the mechanism
+    code, out, err = run_cli(capsys, "redaction-profile", *model_args, "--eps", "1", "--eps-left", "0.5")
+    assert code == 2 and out == "" and "--eps-left" in err and "--eps-right" in err
     for argv in (
         ("utility-curve", *model_args, "--eps", "1", "--grid-steps", "0", "--mechanism", "mq"),
         ("redaction-profile", *model_args, "--eps", "1", "--grid-steps", "-5", "--mechanism", "mq"),

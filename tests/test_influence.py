@@ -63,6 +63,9 @@ def test_distance_zero_is_infinite():
     model = MarkovModel(4, 0.25, 0.5)
     assert influence_low(model, 0) == math.inf
     assert influence_high(model, 0) == math.inf
+    for form in (influence_low, influence_high):
+        with pytest.raises(ValueError, match="nonnegative"):
+            form(model, -1)
     assert pointwise_influence(model, 2, 2, 0) == math.inf
     assert pointwise_influence(model, 2, 2, 1) == math.inf
 

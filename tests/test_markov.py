@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from markov_redaction import (
     MarkovModel,
+    Path,
     multi_step,
     sample_path,
     stationary_marginal,
@@ -116,6 +117,10 @@ def test_sample_path_deterministic_and_valid():
     assert len(first) == 200
     assert set(np.unique(first.values)) <= {0, 1}
     assert not np.array_equal(first.values, sample_path(model, seed=8).values)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Path(values=[[0, 1], [1, 0]], seed=0)
+    with pytest.raises(ValueError, match="0 or 1"):
+        Path(values=[0, 2], seed=0)
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,9 @@ def test_mechanism_validation():
     assert released_indices(broken) == frozenset({1, 2})
     with pytest.raises(ValueError, match="private index"):
         RedactionMechanism(n=2, p=3, redact_prob=np.ones((2, 2)))
+    for n in (0, True, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            RedactionMechanism(n=n, p=1, redact_prob=np.ones((1, 2)))
 
 
 def test_mechanism_released_indices_and_views():
@@ -172,15 +175,46 @@ def test_numerical_bisection_matches_linear_scan_on_acceptance_grid():
         assert_matches_linear_scan(model, p, eps, grid_steps=49)
 
 
-def test_numerical_bisection_matches_linear_scan_on_paper_sweep():
+def paper_sweep_searched_budgets():
+    """The budgets of the paper's 60-point sweep whose 3R design has medium records."""
     grid = [float(x) for x in np.logspace(math.log10(0.05), math.log10(6.0), 60)]
-    with_medium = [
-        eps for eps in grid if build_3r_relaxation(FIG_MODEL, 1, eps)[0].regions.medium
-    ]
-    budgets = with_medium[::5]
+    return [eps for eps in grid if build_3r_relaxation(FIG_MODEL, 1, eps)[0].regions.medium]
+
+
+def test_numerical_bisection_matches_linear_scan_on_paper_sweep():
+    budgets = paper_sweep_searched_budgets()[::5]
     assert len(budgets) >= 10
     for eps in budgets:
         assert_matches_linear_scan(FIG_MODEL, 1, eps, grid_steps=999)
+
+
+def side_curves(model, p, eps, grid_steps):
+    """Each searched side's exact leakage at every grid value of q, over the
+    window the search reads: its rows up to the one past the last medium one."""
+    design, mech = build_3r_relaxation(model, p, eps)
+    table = mech.redact_prob.copy()
+    curves = []
+    for side, rows in ((-1, table[: p - 1][::-1]), (1, table[p:])):
+        medium = [abs(t - p) - 1 for t in design.regions.medium_by_distance(side)]
+        if medium:
+            window, curve = rows[: medium[-1] + 2], []
+            for i in range(grid_steps + 1):
+                window[medium, 0] = i / grid_steps
+                curve.append(markov_redaction.audit.side_leakage(model, window))
+            curves.append(curve)
+    return curves
+
+
+def test_side_leakage_never_rises_with_q_where_the_search_bisects():
+    # The bisection takes the first fitting grid value only if the side's
+    # leakage never rises as q rises; check that on every searched curve of
+    # the paper sweep and of the acceptance grid, at their grid resolutions.
+    curves = [curve for eps in paper_sweep_searched_budgets()
+              for curve in side_curves(FIG_MODEL, 1, eps, 999)]
+    assert len(curves) == 51
+    curves += [curve for model, p, eps in _grid_points() for curve in side_curves(model, p, eps, 49)]
+    assert len(curves) == 51 + 818
+    assert all(later <= earlier for curve in curves for earlier, later in zip(curve, curve[1:]))
 
 
 def test_numerical_audit_count_is_logarithmic(monkeypatch):
@@ -194,10 +228,30 @@ def test_numerical_audit_count_is_logarithmic(monkeypatch):
     monkeypatch.setattr(markov_redaction.audit, "side_leakage", counting_side_leakage)
     p = 1
     design, _ = build_3r_numerical(FIG_MODEL, p, 1.0)
-    sides_with_medium = {t > p for t in design.regions.medium}
-    assert len(sides_with_medium) == 1
-    # q = 1, a bisection of the 1,000 grid values, and the relaxation's q
-    assert 0 < len(audited) <= math.ceil(math.log2(1000)) + 3
+    assert design.regions.medium == {2, 3}
+    # A bisection of the 1,001 grid values, then the relaxation's q, each
+    # over the window of the two medium records and the released record 4.
+    assert 0 < len(audited) <= math.ceil(math.log2(1001)) + 1
+    assert set(audited) == {3}
+
+
+def test_numerical_search_cost_does_not_grow_with_n(monkeypatch):
+    widths = []
+    real_side_leakage = markov_redaction.audit.side_leakage
+
+    def counting_side_leakage(model, rows):
+        widths.append(len(rows))
+        return real_side_leakage(model, rows)
+
+    monkeypatch.setattr(markov_redaction.audit, "side_leakage", counting_side_leakage)
+    n, p = 1_000_000, 500_000
+    design, mech = build_3r_numerical(MarkovModel(n, 0.01, 0.8), p, 1.0)
+    assert widths and max(widths) <= 8
+    # Far from both chain ends, a short chain gets the same design.
+    short_design, short_mech = build_3r_numerical(MarkovModel(1_000, 0.01, 0.8), 500, 1.0)
+    assert design.q == {t + p - 500: q for t, q in short_design.q.items()}
+    assert np.array_equal(mech.redact_prob[p - 500 : p + 500], short_mech.redact_prob)
+    assert mech.redact_prob.sum() == short_mech.redact_prob.sum()
 
 
 def test_mq_one_sided_window():
@@ -332,15 +386,19 @@ def test_relaxation_below_float_resolution_is_a_value_error():
 
 def test_relaxation_closed_form_calls_do_not_grow_with_n(monkeypatch):
     calls = []
-    for module in (markov_redaction.influence, markov_redaction.mechanisms):
-        for name in ("influence_low", "influence_high"):
-            real = getattr(module, name)
+    targets = [(markov_redaction.influence, "_log_ratios")] + [
+        (module, name)
+        for module in (markov_redaction.influence, markov_redaction.mechanisms)
+        for name in ("influence_low", "influence_high")
+    ]
+    for module, name in targets:
+        real = getattr(module, name)
 
-            def counting(model, delta, real=real):
-                calls.append(delta)
-                return real(model, delta)
+        def counting(model, delta, real=real):
+            calls.append(delta)
+            return real(model, delta)
 
-            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, name, counting)
     n = 1_000_000
     model = MarkovModel(n, 0.05, 0.6)
     design, mech = build_3r_relaxation(model, n // 2, 1.0)

@@ -69,6 +69,10 @@ def test_bad_rows_and_types_rejected(tmp_path):
     with pytest.raises(ValueError, match="row 1"):
         read_mechanism(path)
 
+    path.write_text(f"[{good}]", encoding="utf-8")
+    with pytest.raises(ValueError, match="top level must be a JSON object"):
+        read_mechanism(path)
+
 
 def test_wrong_format_tag_rejected(tmp_path):
     model = MarkovModel(2, 0.25, 0.5)
