@@ -231,27 +231,18 @@ def test_numerical_audit_count_is_logarithmic(monkeypatch):
     assert design.regions.medium == {2, 3}
     # A bisection of the 1,001 grid values, then the relaxation's q, each
     # over the window of the two medium records and the released record 4.
-    assert 0 < len(audited) <= math.ceil(math.log2(1001)) + 1
+    passes = math.ceil(math.log2(1001)) + 1
+    assert 0 < len(audited) <= passes
     assert set(audited) == {3}
-
-
-def test_numerical_search_cost_does_not_grow_with_n(monkeypatch):
-    widths = []
-    real_side_leakage = markov_redaction.audit.side_leakage
-
-    def counting_side_leakage(model, rows):
-        widths.append(len(rows))
-        return real_side_leakage(model, rows)
-
-    monkeypatch.setattr(markov_redaction.audit, "side_leakage", counting_side_leakage)
+    # Far from both chain ends of a long chain, the window, and with it the
+    # cost of a pass, stays as short, and the design is the short chain's.
+    audited.clear()
     n, p = 1_000_000, 500_000
-    design, mech = build_3r_numerical(MarkovModel(n, 0.01, 0.8), p, 1.0)
-    assert widths and max(widths) <= 8
-    # Far from both chain ends, a short chain gets the same design.
-    short_design, short_mech = build_3r_numerical(MarkovModel(1_000, 0.01, 0.8), 500, 1.0)
-    assert design.q == {t + p - 500: q for t, q in short_design.q.items()}
-    assert np.array_equal(mech.redact_prob[p - 500 : p + 500], short_mech.redact_prob)
-    assert mech.redact_prob.sum() == short_mech.redact_prob.sum()
+    _, mech = build_3r_numerical(MarkovModel(n, 0.01, 0.8), p, 1.0)
+    assert 0 < len(audited) <= 2 * passes and max(audited) <= 8
+    _, short = build_3r_numerical(MarkovModel(1_000, 0.01, 0.8), 500, 1.0)
+    assert np.array_equal(mech.redact_prob[p - 500 : p + 500], short.redact_prob)
+    assert mech.redact_prob.sum() == short.redact_prob.sum()
 
 
 def test_mq_one_sided_window():
