@@ -165,10 +165,10 @@ def chain_states(model: MarkovModel, uniforms: np.ndarray) -> np.ndarray:
     resets it to 0, and u >= beta keeps it.  A state is therefore the
     parity of the flips since the last reset (record 1 counts as a reset
     followed by a flip when it is 1).  With c the running flip count, that
-    is parity(c) XOR parity(c at the last reset), and c at the last reset
-    is the running maximum of c * reset, because c never decreases.  No
-    loop over records is needed, and the states equal the step-by-step
-    recursion bit for bit.
+    is the low bit of c XOR (c at the last reset), and c at the last reset
+    is the running maximum of c * reset, because c never decreases.  So the
+    states take two scans, a ``cumsum`` and a running maximum, with no loop
+    over records, and they equal the step-by-step recursion bit for bit.
     """
     n = uniforms.shape[-1]
     _, pi1 = stationary_marginal(model)
@@ -178,13 +178,11 @@ def chain_states(model: MarkovModel, uniforms: np.ndarray) -> np.ndarray:
     flips[..., 0] = uniforms[..., 0] < pi1
     resets[..., 0] = False
     counts = np.cumsum(flips, axis=-1, dtype=np.min_scalar_type(n))  # at most n
-    parity = np.logical_xor.accumulate(flips, axis=-1)  # parity of counts
-    counts *= resets
-    np.maximum.accumulate(counts, axis=-1, out=counts)  # in place: c at the last reset
-    counts &= 1
-    states = counts.astype(np.int8)
-    states ^= parity
-    return states
+    last = counts * resets
+    np.maximum.accumulate(last, axis=-1, out=last)  # in place: c at the last reset
+    last ^= counts
+    last &= 1
+    return last.astype(np.int8)
 
 
 def sample_path(model: MarkovModel, seed: int) -> Path:

@@ -506,19 +506,15 @@ def loop_sample_path(model, seed: int) -> np.ndarray:
 def loop_monte_carlo(model, mechanism, trials: int, seed: int) -> tuple[float, float]:
     """(estimate, standard error) ``monte_carlo_utility`` must return, from a loop over records.
 
-    Same streams and the same 2^16-trial blocks as the package.
+    Same streams as the package, each drawn as one (trials, n) array.
     """
     path_stream, redact_stream = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]
     n = model.n
-    table = mechanism.redact_prob
-    per_path = np.empty(trials)
-    for done in range(0, trials, 1 << 16):
-        block = min(1 << 16, trials - done)
-        states = _loop_states(model, path_stream.random((block, n)))
-        coins = redact_stream.random((block, n))
-        redacted = coins < table[np.arange(n)[None, :], states]
-        per_path[done : done + block] = 1.0 - redacted.mean(axis=1)
+    states = _loop_states(model, path_stream.random((trials, n)))
+    coins = redact_stream.random((trials, n))
+    redacted = coins < mechanism.redact_prob[np.arange(n)[None, :], states]
+    per_path = 1.0 - redacted.mean(axis=1)
     standard_error = float(per_path.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
     return float(per_path.mean()), standard_error

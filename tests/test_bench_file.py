@@ -55,3 +55,13 @@ def test_summary_counts_pairs_won_in_each_metrics_direction():
     assert (base["ops"], base["failed_ops"], head["failed_ops"]) == (300, 3, 0)
     assert base["python"] == ["3.11.7"] and head["numpy"] == ["2.4.6", "2.4.7"]
     assert base["nproc"] == [2]
+
+
+def test_summary_holds_each_pairs_head_over_base_ratio():
+    records = {
+        "base": [record(100.0, 10.0), record(200.0, 8.0), record(50.0, 4.0), record(80.0, 5.0)],
+        "head": [record(150.0, 5.0), record(100.0, 8.0), record(100.0, 3.0), record(80.0, 6.0)],
+    }
+    ratios = bench_file.summarize(records, METRICS)["head_over_base"]
+    assert ratios["ops_per_s"] == {"median": 1.25, "values": [1.5, 0.5, 2.0, 1.0]}
+    assert ratios["op_p50_ms"] == {"median": 0.875, "values": [0.5, 1.0, 0.75, 1.2]}

@@ -50,7 +50,7 @@ CASES = {
         "redaction-profile", "--alpha", "0.05", "--beta", "0.6", "--n", "1200", "--p", "400",
         "--eps", "1", "--eps-left", "0.2", "--eps-right", "0.8",
     ],
-    # 70,000 trials cross the sampler's 2^16-trial block edge.
+    # 70,000 trials: 16,384-row chunks at n = 4, and past the old 2^16-trial block edge.
     "utility_curve_a0.1_b0.5_n4_p2_mc70000.csv": [
         "utility-curve", "--alpha", "0.1", "--beta", "0.5", "--n", "4", "--p", "2",
         "--eps", "0.5", "--eps", "2", "--trials", "70000",

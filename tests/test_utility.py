@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,11 +109,13 @@ def test_monte_carlo_four_sigma_agreement():
         (1, 0.25, 0.5, 1, 3),
         (2, 0.25, 0.5, 1, 1000),
         (2, 0.25, 0.5, 2, 1000),
-        (4, 0.1, 0.5, 2, 65_537),  # one record past the 2^16-trial block
+        (4, 0.1, 0.5, 2, 65_537),  # the old 2^16-trial block edge, inside one chunk
         (6, 0.3, 0.3, 1, 5000),  # alpha = beta
         (6, 0.3, 0.3, 6, 5000),
         (50, 0.9, 0.95, 50, 300),
         (2000, 0.05, 0.6, 1000, 40),
+        (1000, 0.05, 0.6, 500, 70),  # crosses the edge of a 65-row chunk
+        (70_000, 0.05, 0.6, 35_000, 3),  # each chunk is one row
     ],
 )
 def test_monte_carlo_equals_the_record_loop(n, alpha, beta, p, trials):
@@ -146,5 +149,25 @@ def test_monte_carlo_example_mechanism_large_sample():
 def test_input_validation():
     with pytest.raises(ValueError, match="rows"):
         exact_utility(MarkovModel(3, 0.25, 0.5), EXAMPLE_MECH)
-    with pytest.raises(ValueError, match="trials"):
-        monte_carlo_utility(EXAMPLE_MODEL, EXAMPLE_MECH, trials=0, seed=0)
+    for trials in (0, -3, True, 2.5, "10"):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_utility(EXAMPLE_MODEL, EXAMPLE_MECH, trials=trials, seed=0)
+    for seed in (-1, True, False, 1.0, None):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_utility(EXAMPLE_MODEL, EXAMPLE_MECH, trials=10, seed=seed)
+    report = monte_carlo_utility(EXAMPLE_MODEL, EXAMPLE_MECH, trials=np.int64(10), seed=np.uint8(3))
+    assert report.monte_carlo == monte_carlo_utility(EXAMPLE_MODEL, EXAMPLE_MECH, 10, 3).monte_carlo
+
+
+@pytest.mark.parametrize("n,trials,limit_mb", [(1_000, 1_000, 4), (100_000, 10, 8)])
+def test_monte_carlo_memory_stays_in_chunks(n, trials, limit_mb):
+    """The sampler's traced peak stays near one chunk's arrays, not the whole (trials, n) draw."""
+    model = MarkovModel(n, 0.05, 0.6)
+    _, window = build_mq(model, n // 2, 1.0)
+    tracemalloc.start()
+    try:
+        monte_carlo_utility(model, window, trials=trials, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6

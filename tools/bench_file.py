@@ -12,8 +12,9 @@ pairs and the head first in even ones; S is ``run_seconds`` from
 is read back.  The file at the repository root holds, per workload, side
 and end-to-end metric, the median, quartiles, minimum and maximum of the
 runs with their repeat count and every pair's value, how many pairs the
-head won, the Python and numpy versions and both git shas.  It is
-rewritten after every pair, so an interrupted run keeps what it measured.
+head won, each pair's head/base ratio and their median, the Python and
+numpy versions and both git shas.  It is rewritten after every pair, so an
+interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ def summarize(records: dict[str, list[dict]], metrics: list[dict]) -> dict:
     ``records`` maps "base" and "head" to equally long lists of the dicts
     ``bench/run.py`` writes; ``metrics`` are the ``end_to_end`` entries of
     ``BENCHMARK.json``.  A pair is won by the side whose value is better in
-    the metric's direction; ties count for neither.
+    the metric's direction; ties count for neither.  Each pair's head/base
+    ratio, and their median, compare two runs made minutes apart, so a
+    host that drifts between pairs moves them less than the sides' medians.
     """
     summary: dict = {}
     for side in SIDES:
@@ -63,12 +66,17 @@ def summarize(records: dict[str, list[dict]], metrics: list[dict]) -> dict:
             },
         }
     summary["head_won_pairs"] = {}
+    summary["head_over_base"] = {}
     for metric in metrics:
         sign = 1.0 if metric["better"] == "higher" else -1.0
         base, head = (summary[side]["metrics"][metric["name"]]["values"] for side in SIDES)
         summary["head_won_pairs"][metric["name"]] = sum(
             sign * (h - b) > 0 for b, h in zip(base, head)
         )
+        ratios = [h / b for b, h in zip(base, head)]
+        summary["head_over_base"][metric["name"]] = {
+            "median": statistics.median(ratios), "values": ratios,
+        }
     return summary
 
 
