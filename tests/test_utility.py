@@ -109,7 +109,7 @@ def test_monte_carlo_four_sigma_agreement():
         (1, 0.25, 0.5, 1, 3),
         (2, 0.25, 0.5, 1, 1000),
         (2, 0.25, 0.5, 2, 1000),
-        (4, 0.1, 0.5, 2, 65_537),  # the old 2^16-trial block edge, inside one chunk
+        (4, 0.1, 0.5, 2, 65_537),  # past the old 2^16-trial block edge, in five 16,384-row chunks
         (6, 0.3, 0.3, 1, 5000),  # alpha = beta
         (6, 0.3, 0.3, 6, 5000),
         (50, 0.9, 0.95, 50, 300),
