@@ -15,7 +15,7 @@ they first release a record.
 """
 
 from .audit import LeakageReport, REDACTED, exact_leakage, output_probability
-from .chain import MarkovModel, MultiStepTransition, Path, multi_step, sample_path, stationary_marginal
+from .chain import MarkovModel, MultiStepTransition, multi_step, stationary_marginal
 from .influence import (
     Regions,
     compute_regions,
@@ -46,10 +46,8 @@ __version__ = "0.1.0"
 __all__ = [
     "MarkovModel",
     "MultiStepTransition",
-    "Path",
     "stationary_marginal",
     "multi_step",
-    "sample_path",
     "Regions",
     "influence_low",
     "influence_high",

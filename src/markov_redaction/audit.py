@@ -23,6 +23,10 @@ leakage: it occurs with positive marginal probability yet pins the
 private value.  The witness is the lexicographically smallest output
 (0 < 1 < ⊥) of a binding class combination, and the reported leakage is
 that witness re-evaluated through :func:`output_probability`.
+
+The module imports no construction code.  At run time it needs only
+:mod:`.chain`, and it reads a table through ``redact_prob``, ``p`` and
+``check_model`` alone, so it certifies a table however it was built.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chain import MarkovModel
-from .mechanisms import RedactionMechanism
+
+if TYPE_CHECKING:
+    from .mechanisms import RedactionMechanism
 
 __all__ = ["LeakageReport", "REDACTED", "output_probability", "exact_leakage"]
 

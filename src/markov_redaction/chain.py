@@ -1,4 +1,4 @@
-"""Stationary two-state Markov chain: model, multi-step transitions, sampling.
+"""Stationary two-state Markov chain: model, multi-step transitions, states.
 
 Records are binary, X_t in {0, 1}.  The chain X_1 - X_2 - ... - X_n has a
 stationary one-step transition matrix
@@ -23,10 +23,8 @@ import numpy as np
 __all__ = [
     "MarkovModel",
     "MultiStepTransition",
-    "Path",
     "stationary_marginal",
     "multi_step",
-    "sample_path",
 ]
 
 
@@ -99,26 +97,6 @@ class MultiStepTransition:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Path:
-    """One sampled realization of the chain, together with the seed that produced it."""
-
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.int8)
-        if values.ndim != 1:
-            raise ValueError("path values must form a one-dimensional sequence")
-        if values.size and not np.isin(values, (0, 1)).all():
-            raise ValueError("path values must all be 0 or 1")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def stationary_marginal(model: MarkovModel) -> tuple[float, float]:
     """Marginal record distribution ``(Pr[X = 0], Pr[X = 1])``.
 
@@ -183,12 +161,3 @@ def chain_states(model: MarkovModel, uniforms: np.ndarray) -> np.ndarray:
     last ^= counts
     last &= 1
     return last.astype(np.int8)
-
-
-def sample_path(model: MarkovModel, seed: int) -> Path:
-    """Sample one realization: X_1 from the stationary marginal, then step with P.
-
-    Deterministic given the seed, which is recorded on the returned path.
-    """
-    uniforms = np.random.default_rng(seed).random(model.n)
-    return Path(values=chain_states(model, uniforms), seed=seed)

@@ -39,6 +39,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .audit import side_leakage
 from .chain import MarkovModel, stationary_marginal
 from .influence import (
     Regions,
@@ -327,8 +328,6 @@ def build_3r_numerical(
     |max L + max R|) is at most the sum of the two side leakages, hence at
     most eps_left + eps_right <= eps (up to the feasibility slack).
     """
-    from .audit import side_leakage  # deferred: audit depends on this module
-
     _check_grid_steps(grid_steps)
 
     def smallest_fitting_q(rows, medium, eps_side, q_relax):

@@ -15,7 +15,6 @@ exactly; unknown fields are rejected on read.
 from __future__ import annotations
 
 import json
-from typing import TextIO
 
 from .chain import MarkovModel
 from .mechanisms import RedactionMechanism

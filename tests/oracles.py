@@ -499,7 +499,8 @@ def _loop_states(model, uniforms):
 
 
 def loop_sample_path(model, seed: int) -> np.ndarray:
-    """The values ``sample_path`` must return, from a loop over records."""
+    """The states ``chain_states`` must return on the first n uniforms of
+    ``default_rng(seed)``, from a loop over records."""
     return _loop_states(model, np.random.default_rng(seed).random(model.n))
 
 

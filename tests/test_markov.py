@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from markov_redaction import (
     MarkovModel,
-    Path,
     multi_step,
-    sample_path,
     stationary_marginal,
 )
+from markov_redaction.chain import chain_states
 
 from oracles import MODEL_GRID, loop_sample_path
 
@@ -108,19 +107,16 @@ def test_multi_step_matches_matrix_power_hypothesis(alpha, spread, delta):
     assert np.abs(multi_step(model, delta).matrix() - explicit).max() < 1e-12
 
 
-def test_sample_path_deterministic_and_valid():
+def sampled(model, seed):
+    return chain_states(model, np.random.default_rng(seed).random(model.n))
+
+
+def test_chain_states_deterministic_and_valid():
     model = MarkovModel(200, 0.25, 0.5)
-    first = sample_path(model, seed=7)
-    second = sample_path(model, seed=7)
-    assert np.array_equal(first.values, second.values)
-    assert first.seed == 7
-    assert len(first) == 200
-    assert set(np.unique(first.values)) <= {0, 1}
-    assert not np.array_equal(first.values, sample_path(model, seed=8).values)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        Path(values=[[0, 1], [1, 0]], seed=0)
-    with pytest.raises(ValueError, match="0 or 1"):
-        Path(values=[0, 2], seed=0)
+    first = sampled(model, seed=7)
+    assert np.array_equal(first, sampled(model, seed=7))
+    assert set(np.unique(first)) <= {0, 1}
+    assert not np.array_equal(first, sampled(model, seed=8))
 
 
 @pytest.mark.parametrize(
@@ -139,16 +135,16 @@ def test_sample_path_deterministic_and_valid():
 def test_sample_path_equals_the_record_loop(n, alpha, beta):
     model = MarkovModel(n, alpha, beta)
     for seed in (0, 1, 12345):
-        values = sample_path(model, seed).values
+        values = sampled(model, seed)
         expected = loop_sample_path(model, seed)
         assert values.dtype == expected.dtype == np.int8
         assert np.array_equal(values, expected)
 
 
-def test_sample_path_matches_stationary_and_transitions():
+def test_chain_states_matches_stationary_and_transitions():
     n = 100_000
     model = MarkovModel(n, 0.25, 0.5)
-    values = sample_path(model, seed=123).values
+    values = sampled(model, seed=123)
     pi0, _ = stationary_marginal(model)
 
     # 4-sigma binomial bands, all narrower than the 0.01 coarse bound

@@ -218,14 +218,14 @@ def test_side_leakage_never_rises_with_q_where_the_search_bisects():
 
 
 def test_numerical_audit_count_is_logarithmic(monkeypatch):
-    audited = []  # the builder imports the side pass at call time, so this wraps it
-    real_side_leakage = markov_redaction.audit.side_leakage
+    audited = []  # the builder looks the side pass up in its own module, so this wraps it there
+    real_side_leakage = markov_redaction.mechanisms.side_leakage
 
     def counting_side_leakage(model, rows):
         audited.append(len(rows))
         return real_side_leakage(model, rows)
 
-    monkeypatch.setattr(markov_redaction.audit, "side_leakage", counting_side_leakage)
+    monkeypatch.setattr(markov_redaction.mechanisms, "side_leakage", counting_side_leakage)
     p = 1
     design, _ = build_3r_numerical(FIG_MODEL, p, 1.0)
     assert design.regions.medium == {2, 3}
