@@ -14,7 +14,9 @@ term depends only on that record's position and value, or on the whole
 side being redacted.  One forward pass per side evaluates these
 2 * (side length) + 1 first-release classes under both conditionings, and
 the supremum over all outputs reduces to the extremes of each side's
-log-ratios.  The cost is linear in n, with no size limit.
+log-ratios.  A pass stops at the first record released whatever its
+value, past which no class is supported; only the witness re-evaluation
+stays linear in n, and there is no size limit.
 :func:`side_leakage` is that pass alone for one side, the score the
 numerical three-region search compares against a side budget.
 
@@ -126,7 +128,9 @@ def _side_log_ratios(transition: list, rows: np.ndarray) -> np.ndarray:
     lexicographic order of the classes' smallest outputs.  Unsupported
     classes are nan; a class supported under one conditioning only is
     +-inf.  The ⊥-prefix states of both conditionings share one rescaling
-    per step, which cancels in every ratio.
+    per step, which cancels in every ratio.  The pass stops at the first
+    record released whatever its value (or where both states underflow),
+    past which every class, the all-redacted one too, would be nan.
     """
     (p00, p01), (p10, p11) = transition
     a0, a1, b0, b1 = 1.0, 0.0, 0.0, 1.0  # prefix state under X_p = 0 (a), X_p = 1 (b)
@@ -137,13 +141,14 @@ def _side_log_ratios(transition: list, rows: np.ndarray) -> np.ndarray:
         reached.extend((u0, u1, w0, w1))
         a0, a1, b0, b1 = u0 * r0, u1 * r1, w0 * r0, w1 * r1
         scale = max(a0, a1, b0, b1)
-        if scale > 0.0:
-            a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
+        if scale == 0.0:
+            break  # every later class is unsupported under both conditionings
+        a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
     reached = np.frombuffer(reached).reshape(-1, 2, 2)  # (record, conditioning, value)
     with np.errstate(divide="ignore", invalid="ignore"):
         released = np.log(reached[:, 0]) - np.log(reached[:, 1])
         redacted = np.log(a0 + a1) - np.log(b0 + b1)
-    released[rows >= 1.0] = np.nan  # that value is never released there
+    released[rows[: len(released)] >= 1.0] = np.nan  # that value is never released there
     return np.append(released.ravel(), redacted)
 
 

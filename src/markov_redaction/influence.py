@@ -179,9 +179,7 @@ def delta_star(model: MarkovModel, eps: float) -> int:
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if influence_high(model, 1) <= eps:
-        return 1
-    low, high = 1, 2
+    low, high = 0, 1
     while influence_high(model, high) > eps:
         low, high = high, high * 2
     while high - low > 1:

@@ -1,23 +1,21 @@
 """Construction of redaction mechanisms and their closed-form utility bounds.
 
 Every mechanism is a per-record redaction probability table: entry (t, x)
-gives Pr[Y_t = redacted | X_t = x].  Each construction fills one n x 2
-table side by side; a side is the view of its rows walked outward from p
-(``table[:p-1][::-1]`` and ``table[p:]``), the shape the audit's side pass
-reads.  Three constructions are provided.
+gives Pr[Y_t = redacted | X_t = x].  A side is the view of a table's rows
+walked outward from p (``table[:p-1][::-1]`` and ``table[p:]``), the shape
+the audit's side pass reads.  Three constructions are provided.
 
 * Three-region (3R) mechanisms split a total privacy budget between the
   two sides of the private record, classify indices into large/medium/small
   leakage regions per side, always redact large, always release small, and
   randomize medium: a medium record showing the high-influence value 1 is
   always redacted, while the value 0 is redacted with probability q_t.
-  One pass per side writes its large and medium rows and derives the
-  delta_t terms; the two builders differ only in how they pick the
-  side-constant q from them.  ``build_3r_relaxation`` takes the
-  closed-form relaxation of the leakage; ``build_3r_numerical`` bisects a
-  grid for the smallest q whose exact side leakage, from the audit's own
-  first-release pass over the side's rows up to the one past its last
-  medium record, fits the side budget.
+  The builders write the whole table's large and medium rows at once, then
+  work side by side, and differ only in how a side picks its constant q
+  from the delta_t terms of its medium rows: ``build_3r_relaxation`` by the
+  closed-form relaxation, ``build_3r_numerical`` by bisecting a grid for
+  the smallest q whose exact side leakage (the audit's first-release pass
+  up to the row past the last medium one) fits the side budget.
 
 * The Markov-quilt (MQ) baseline deterministically redacts a contiguous
   window around the private record, sized from the distances at which the
@@ -163,17 +161,13 @@ class DimBound:
     value: float
 
 
-def _default_split(p: int, eps: float) -> tuple[float, float]:
-    # p = 1: everything rides on the right side; otherwise split evenly.
-    return (0.0, eps) if p == 1 else (eps / 2.0, eps / 2.0)
-
-
 def _check_budget(model: MarkovModel, p: int, eps: float, split) -> tuple[float, float]:
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     check_index(model.n, p)
     if split is None:
-        return _default_split(p, eps)
+        # p = 1: everything rides on the right side; otherwise split evenly.
+        return (0.0, eps) if p == 1 else (eps / 2.0, eps / 2.0)
     eps_left, eps_right = split
     if not (eps_left >= 0 and eps_right >= 0):
         raise ValueError("side budgets must be nonnegative")
@@ -189,48 +183,6 @@ def _check_grid_steps(grid_steps, name: str = "grid_steps") -> None:
         raise ValueError(f"{name} must be a positive integer, got {grid_steps!r}")
 
 
-def _fill_side(
-    model: MarkovModel, regions: Regions, side: int, rows: np.ndarray
-) -> tuple[list[int], list[float]]:
-    """Write one side's large and medium rows; return its medium rows and delta_t terms.
-
-    ``rows`` is the side's part of the table walked outward from p: row
-    d - 1 holds the record at distance d.  A large row redacts both values,
-    a medium row redacts the value 1 and leaves its value-0 entry to the
-    side's q.  The medium rows come nearest first.  delta_t looks one record
-    further out: zero off the chain, the value-0 influence when that record
-    is still medium, the value-1 influence when it is already small.  It can
-    be large only where the computed forms rise from one distance to the
-    next, near 1e-16; such a side budget is refused with a ValueError.
-    """
-    p = regions.p
-    rows[[abs(t - p) - 1 for t in regions.large if (t - p) * side > 0]] = 1.0
-    medium = [abs(t - p) - 1 for t in regions.medium_by_distance(side)]
-    rows[medium, 1] = 1.0
-    deltas: list[float] = []
-    for row in medium:
-        distance = row + 2  # of the next record outward
-        t_next = p + side * distance
-        if distance > len(rows):
-            deltas.append(0.0)
-        elif t_next in regions.medium:
-            deltas.append(influence_low(model, distance))
-        elif t_next not in regions.large:
-            deltas.append(influence_high(model, distance))
-        else:
-            # Both forms fall with distance, but their float values near
-            # 1e-16 can rise by an ulp.  Rewriting them with log1p/expm1
-            # (planned in ROADMAP.md) is the cure; until then such a budget
-            # is refused.
-            eps_side = regions.eps_left if side == -1 else regions.eps_right
-            raise ValueError(
-                f"side budget {eps_side!r} is below the float resolution of the "
-                f"influence closed forms: record {t_next} is large although "
-                f"the nearer record {t_next - side} is medium"
-            )
-    return medium, deltas
-
-
 def _build_3r(
     model: MarkovModel,
     p: int,
@@ -240,31 +192,57 @@ def _build_3r(
 ) -> tuple[ThreeRDesign, RedactionMechanism]:
     """Three-region design whose side-constant q comes from ``choose_q``.
 
-    Each side's rows are filled by :func:`_fill_side`; then
+    Every large row (row p among them) redacts both values and every medium
+    row the value 1, written over the whole table at once.  Then each side,
+    its rows walked outward from p (row d - 1 holds distance d), takes its
+    medium rows nearest first and their delta_t terms.  delta_t looks one
+    record further out: zero off the chain, the value-0 influence when that
+    record is still medium, the value-1 influence when it is already small.
+    It can be large only where the computed forms rise by an ulp from one
+    distance to the next, near 1e-16; until their log1p/expm1 rewrite
+    (planned in ROADMAP.md), such a side budget is refused with a ValueError.
+
     ``choose_q(window, medium_rows, eps_side, q_relax)`` picks the q of a
-    side with medium records, given the relaxation's closed-form q_relax;
-    the window ends at the row past the last medium one, released or off
-    the chain, past which no first-release class is supported.  The
-    relaxed bound of such a side is max_t (delta_t - sum of log q over the
-    medium records up to t).  A side without medium records releases a
-    pure small-region suffix past its large run, whose leakage is exactly
-    the max influence of its nearest released record (0 if there is none),
-    which keeps the recorded bound sound in every case.
+    side with medium records, given the relaxation's closed-form q_relax.
+    The window ends at the row past the last medium one, released or off
+    the chain; no first-release class is supported past it, so a search
+    pass reads a few rows however long the side is.  A side's relaxed
+    bound is max_t (delta_t - sum of log q over its medium records up to
+    t); without medium records, a side releases a small-region suffix past
+    its large run, whose leakage is exactly the max influence of its
+    nearest released record (0 if none), so the bound is always sound.
     """
     eps_left, eps_right = _check_budget(model, p, eps, split)
     regions = compute_regions(model, p, eps_left, eps_right)
     table = np.zeros((model.n, 2))
-    table[p - 1] = 1.0
+    table[[t - 1 for t in regions.large]] = 1.0
+    table[[t - 1 for t in regions.medium], 1] = 1.0
     q: dict[int, float] = {}
     bounds: list[float] = []
     for side, eps_side, rows in ((-1, eps_left, table[: p - 1][::-1]), (1, eps_right, table[p:])):
-        medium, deltas = _fill_side(model, regions, side, rows)
+        medium = [abs(t - p) - 1 for t in regions.medium_by_distance(side)]
         if not medium:
             nearest = 0  # walk the large run to the nearest released row
             while nearest < len(rows) and rows[nearest, 0] == 1.0:
                 nearest += 1
             bounds.append(influence_high(model, nearest + 1) if nearest < len(rows) else 0.0)
             continue
+        deltas: list[float] = []
+        for row in medium:
+            distance = row + 2  # of the next record outward
+            t_next = p + side * distance
+            if distance > len(rows):
+                deltas.append(0.0)
+            elif t_next in regions.medium:
+                deltas.append(influence_low(model, distance))
+            elif t_next not in regions.large:
+                deltas.append(influence_high(model, distance))
+            else:
+                raise ValueError(
+                    f"side budget {eps_side!r} is below the float resolution of the "
+                    f"influence closed forms: record {t_next} is large although "
+                    f"the nearer record {t_next - side} is medium"
+                )
         q_relax = max(
             math.exp(-(eps_side - delta_t) / size) for size, delta_t in enumerate(deltas, 1)
         )

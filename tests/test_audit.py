@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import markov_redaction.audit
 from markov_redaction import (
     MarkovModel,
     REDACTED,
@@ -303,6 +304,28 @@ def test_side_leakage_matches_the_full_audit(seed):
             assert got == report.per_side[index]
             restricted = exact_leakage(*side_chain(model, mech, side)).leakage
             assert got == pytest.approx(restricted, abs=1e-12)  # inf only equals inf
+
+
+def test_side_pass_stops_at_the_first_always_released_row(monkeypatch):
+    # Past a (0, 0) row no class is supported, so the pass reads no further.
+    n, distance = 2000, 5
+    table = np.random.default_rng(5).random((n, 2))
+    table[:distance] = 1.0
+    table[distance] = 0.0
+    mech = RedactionMechanism(n=n, p=1, redact_prob=table)
+    model = MarkovModel(n, 0.1, 0.5)
+    lengths = []
+    original = markov_redaction.audit._side_log_ratios
+
+    def counted(transition, rows):
+        ratios = original(transition, rows)
+        lengths.append(ratios.size)
+        return ratios
+
+    monkeypatch.setattr(markov_redaction.audit, "_side_log_ratios", counted)
+    report = exact_leakage(model, mech)
+    assert lengths[1] <= 2 * distance + 1  # the right side's class array
+    assert report.leakage == pytest.approx(influence_high(model, distance), abs=1e-12)
 
 
 LONG = 2000

@@ -11,13 +11,35 @@ into the file.
 Outputs of n = 10^5 records are pinned by their sha256 instead, recorded
 before the CSV writer built the whole table as one byte array; regenerate
 one with ``markov-redaction <command line> | sha256sum``.
+
+``designs.sha256`` pins the library below the CLI: every builder, bound and
+audit on about 400 seeded random points.  It was recorded before the
+three-region builders wrote their large and medium rows in one place and
+before the audit's side pass stopped at its last supported class;
+regenerate it with ``PYTHONPATH=src python tests/test_golden.py >
+tests/golden/designs.sha256``.
 """
 
 import hashlib
+import math
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from markov_redaction import (
+    MarkovModel,
+    RedactionMechanism,
+    build_3r_numerical,
+    build_3r_relaxation,
+    build_mq,
+    delta_star,
+    dim_upper_bound,
+    exact_leakage,
+    mq_utility_bounds,
+    three_r_utility,
+)
 from markov_redaction.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,3 +105,63 @@ def test_long_cli_output_matches_recorded_digest(capsys, name):
     assert main(DIGESTS[name]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == (GOLDEN / name).read_text(encoding="utf-8").strip()
+
+
+def _log_uniform(rng: random.Random, low: float, high: float) -> float:
+    return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+
+def designs_digest(points: int = 400, seed: int = 18) -> str:
+    """sha256 over every builder's output, the bounds and the audits on seeded random points."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+
+    def put(*values) -> None:
+        digest.update(repr(values).encode("utf-8"))
+
+    def audit(mechanism) -> None:
+        report = exact_leakage(model, mechanism)
+        put(report.leakage, report.witness, report.outputs_enumerated, report.per_side)
+
+    for _ in range(points):
+        n = rng.randint(2, 59)
+        p = rng.randint(1, n)
+        alpha = _log_uniform(rng, 1e-3, 0.9)
+        beta = rng.uniform(alpha, 0.99)
+        eps = _log_uniform(rng, 0.01, 8.0)
+        split = None
+        if rng.random() < 0.3:
+            eps_left = eps * rng.random()
+            split = (eps_left, eps - eps_left)
+        grid_steps = rng.choice((10, 49, 99, 999))
+        model = MarkovModel(n, alpha, beta)
+        put(n, p, alpha, beta, eps, split, grid_steps)
+        builders = (
+            lambda: build_3r_relaxation(model, p, eps, split),
+            lambda: build_3r_numerical(model, p, eps, split, grid_steps),
+        )
+        for build in builders:
+            try:
+                design, mechanism = build()
+            except ValueError as err:
+                put(str(err))
+                continue
+            put(mechanism.redact_prob.tobytes(), sorted(design.q.items()))
+            put(design.relaxed_leakage_bound, three_r_utility(design, model))
+            audit(mechanism)
+        plan, mechanism = build_mq(model, p, eps)
+        put(plan, mechanism.redact_prob.tobytes())
+        audit(mechanism)
+        put(dim_upper_bound(model, p, eps), mq_utility_bounds(model, p, eps))
+        put(delta_star(model, eps), delta_star(model, eps / 1000.0))
+        coins = np.array([rng.random() < 0.5 for _ in range(2 * n)], dtype=float)
+        audit(RedactionMechanism(n, p, coins.reshape(n, 2), enforce_private_redaction=False))
+    return digest.hexdigest()
+
+
+def test_designs_match_recorded_digest():
+    assert designs_digest() == (GOLDEN / "designs.sha256").read_text(encoding="utf-8").strip()
+
+
+if __name__ == "__main__":
+    print(designs_digest())
