@@ -31,7 +31,7 @@ eps = 0.5
 print(f"chain: n=2, alpha={model.alpha}, beta={model.beta}; private record: 1; eps={eps}")
 print()
 
-step = multi_step(model, 1).matrix()
+step = multi_step(model, 1)
 print("likelihood ratios Pr[X2=x2 | X1=x] / Pr[X2=x2 | X1=1-x]:")
 print(f"{'':>6} {'x2=0':>8} {'x2=1':>8}")
 print(f"{'x=0':>6} {step[0, 0] / step[1, 0]:>8.4f} {step[0, 1] / step[1, 1]:>8.4f}")

@@ -15,7 +15,7 @@ they first release a record.
 """
 
 from .audit import LeakageReport, REDACTED, exact_leakage, output_probability
-from .chain import MarkovModel, MultiStepTransition, multi_step, stationary_marginal
+from .chain import MarkovModel, multi_step, stationary_marginal
 from .influence import (
     Regions,
     compute_regions,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MarkovModel",
-    "MultiStepTransition",
     "stationary_marginal",
     "multi_step",
     "Regions",

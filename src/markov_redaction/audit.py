@@ -169,16 +169,6 @@ def _reach(base, side_extremes: tuple[float, float]):
     return np.fmax(np.abs(base + low), np.abs(base + high))
 
 
-def _place_class(codes: np.ndarray, outward: np.ndarray, cls: int) -> None:
-    """Write a first-release class's ⊥-prefix and released value into ``codes``."""
-    k, value = divmod(cls, 2)
-    if k == outward.size:
-        codes[outward] = 2
-    else:
-        codes[outward[:k]] = 2
-        codes[outward[k]] = value
-
-
 def exact_leakage(model: MarkovModel, mechanism: RedactionMechanism) -> LeakageReport:
     """Exact leakage of a mechanism, by first-release classes on each side of p.
 
@@ -193,7 +183,7 @@ def exact_leakage(model: MarkovModel, mechanism: RedactionMechanism) -> LeakageR
     """
     mechanism.check_model(model)
     table = mechanism.redact_prob
-    n, p = model.n, mechanism.p
+    p = mechanism.p
     transition = model.transition_matrix().tolist()
     left = _side_log_ratios(transition, table[: p - 1][::-1])
     right = _side_log_ratios(transition, table[p:])
@@ -216,8 +206,9 @@ def exact_leakage(model: MarkovModel, mechanism: RedactionMechanism) -> LeakageR
 
     codes = np.where(table[:, 0] < 1.0, 0, np.where(table[:, 1] < 1.0, 1, 2))
     codes[p - 1] = symbol
-    _place_class(codes, np.arange(p - 2, -1, -1), int(left_class))
-    _place_class(codes, np.arange(p, n), int(right_class))
+    for outward, cls in ((codes[: p - 1][::-1], left_class), (codes[p:], right_class)):
+        k, value = divmod(int(cls), 2)  # the ⊥-prefix, then the released value if any
+        outward[:k], outward[k : k + 1] = 2, value
     witness = "".join(np.array(_SYMBOLS)[codes])
 
     log_0 = output_probability(model, mechanism, witness, 0)

@@ -10,7 +10,9 @@ and is started in its stationary distribution, so every record has marginal
 Pr[X_t = 0] = beta / (alpha + beta).  Under stationarity the backward
 transition probabilities equal the forward ones, which the rest of the
 package relies on when it walks the chain away from a conditioning record
-in both directions.
+in both directions.  Every power P^delta keeps the same two-parameter form
+[[1 - a_d, a_d], [b_d, 1 - b_d]], with a_d / b_d = alpha / beta and
+1 - a_d - b_d = (1 - alpha - beta)^delta; :func:`multi_step` returns it.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MarkovModel",
-    "MultiStepTransition",
-    "stationary_marginal",
-    "multi_step",
-]
+__all__ = ["MarkovModel", "stationary_marginal", "multi_step"]
+
+
+def check_integer(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an int or numpy integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        kind = "positive" if minimum else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,7 @@ class MarkovModel:
     beta: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"chain length n must be a positive integer, got {self.n!r}")
+        check_integer("chain length n", self.n)
         if not (0.0 < self.alpha < 1.0) or not (0.0 < self.beta < 1.0):
             raise ValueError(
                 f"transition probabilities must lie strictly inside (0, 1), "
@@ -74,29 +77,6 @@ class MarkovModel:
         )
 
 
-@dataclass(frozen=True)
-class MultiStepTransition:
-    """Parameters of the delta-step transition matrix P^delta.
-
-    P^delta keeps the two-parameter form [[1 - a_d, a_d], [b_d, 1 - b_d]]
-    with a_d / b_d = alpha / beta and 1 - a_d - b_d = (1 - alpha - beta)^delta.
-    """
-
-    delta: int
-    alpha_delta: float
-    beta_delta: float
-
-    def matrix(self) -> np.ndarray:
-        """P^delta as a 2x2 array."""
-        return np.array(
-            [
-                [1.0 - self.alpha_delta, self.alpha_delta],
-                [self.beta_delta, 1.0 - self.beta_delta],
-            ],
-            dtype=float,
-        )
-
-
 def stationary_marginal(model: MarkovModel) -> tuple[float, float]:
     """Marginal record distribution ``(Pr[X = 0], Pr[X = 1])``.
 
@@ -106,10 +86,12 @@ def stationary_marginal(model: MarkovModel) -> tuple[float, float]:
     return model.beta / total, model.alpha / total
 
 
-def multi_step(model: MarkovModel, delta: int) -> MultiStepTransition:
-    """Closed-form parameters of P^delta for ``delta >= 1``.
+def multi_step(model: MarkovModel, delta: int) -> np.ndarray:
+    """The delta-step transition matrix P^delta as a 2x2 array, for ``delta >= 1``.
 
-    a_d = alpha/(alpha+beta) * (1 - (1-alpha-beta)^delta) and symmetrically
+    P^delta keeps the two-parameter form [[1 - a_d, a_d], [b_d, 1 - b_d]]
+    with a_d / b_d = alpha / beta and 1 - a_d - b_d = (1 - alpha - beta)^delta,
+    so a_d = alpha/(alpha+beta) * (1 - (1-alpha-beta)^delta) and symmetrically
     for b_d.  ``delta = 0`` is rejected: the identity matrix is trivial and
     does not satisfy the a_d / b_d = alpha / beta invariant.
 
@@ -119,18 +101,14 @@ def multi_step(model: MarkovModel, delta: int) -> MultiStepTransition:
     from alpha + beta = 1 on the base is 0 or negative and the power is
     taken as it is.
     """
-    if not isinstance(delta, int) or isinstance(delta, bool) or delta < 1:
-        raise ValueError(f"delta must be a positive integer, got {delta!r}")
+    check_integer("delta", delta)
     total = model.alpha + model.beta
     if total < 1.0:
         decay = -math.expm1(delta * math.log1p(-total))
     else:
         decay = 1.0 - (1.0 - total) ** delta
-    return MultiStepTransition(
-        delta=delta,
-        alpha_delta=model.alpha / total * decay,
-        beta_delta=model.beta / total * decay,
-    )
+    a_d, b_d = model.alpha / total * decay, model.beta / total * decay
+    return np.array([[1.0 - a_d, a_d], [b_d, 1.0 - b_d]])
 
 
 def chain_states(model: MarkovModel, uniforms: np.ndarray) -> np.ndarray:

@@ -29,13 +29,12 @@ import sys
 import numpy as np
 
 from .audit import exact_leakage
-from .chain import MarkovModel, multi_step
+from .chain import MarkovModel, check_integer, multi_step
 from .influence import _influence_prefix, check_index, max_influence_set, pointwise_influence
 from .mechanisms import (
     DEFAULT_GRID_STEPS,
     RedactionMechanism,
     _check_budget,
-    _check_grid_steps,
     build_3r_numerical,
     build_3r_relaxation,
     build_mq,
@@ -282,10 +281,9 @@ def _cmd_influence_curve(args) -> int:
 
 def _cmd_utility_curve(args) -> int:
     model = MarkovModel(n=args.n, alpha=args.alpha, beta=args.beta)
-    _check_grid_steps(args.grid_steps, "--grid-steps")
-    for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
-        if value < 0:
-            raise ValueError(f"{flag} must be nonnegative, got {value}")
+    check_integer("--grid-steps", args.grid_steps)
+    check_integer("--trials", args.trials, 0)
+    check_integer("--seed", args.seed, 0)
     if args.eps:
         grid = args.eps
     else:
@@ -311,7 +309,7 @@ def _cmd_redaction_profile(args) -> int:
     model = MarkovModel(n=args.n, alpha=args.alpha, beta=args.beta)
     split = _split_of(args)
     _check_budget(model, args.p, args.eps, split)
-    _check_grid_steps(args.grid_steps, "--grid-steps")
+    check_integer("--grid-steps", args.grid_steps)
     kinds = [kind for kind in TABLE_KINDS if kind in (args.mechanism or TABLE_KINDS)]
     table = np.concatenate([
         _TABLE_BUILDERS[kind](model, args.p, args.eps, split, args.grid_steps).redact_prob
@@ -362,7 +360,7 @@ def _cmd_example1(args) -> int:
         if not ok:
             failures.append(label)
 
-    step = multi_step(model, 1).matrix()
+    step = multi_step(model, 1)
     check("likelihood ratio x=0, x2=0", step[0, 0] / step[1, 0], 1.5)
     check("likelihood ratio x=0, x2=1", step[0, 1] / step[1, 1], 0.5)
     check("likelihood ratio x=1, x2=0", step[1, 0] / step[0, 0], 2.0 / 3.0)

@@ -19,8 +19,8 @@ the audit's side pass reads.  Three constructions are provided.
 
 * The Markov-quilt (MQ) baseline deterministically redacts a contiguous
   window around the private record, sized from the distances at which the
-  max influence drops under the budget (one-sided or symmetric depending
-  on the budget and on the record's distance to the nearer chain end).
+  max influence drops under the budget: one-sided when p ends the chain,
+  the budget cannot cover both chain ends, or the threshold is negative.
 
 ``dim_upper_bound`` evaluates the utility ceiling for *any* data-independent
 local redaction mechanism, and ``mq_utility_bounds`` the closed-form lower
@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .audit import side_leakage
-from .chain import MarkovModel, stationary_marginal
+from .chain import MarkovModel, check_integer, stationary_marginal
 from .influence import (
     Regions,
     _influence_prefix,
@@ -86,8 +86,7 @@ class RedactionMechanism:
     enforce_private_redaction: InitVar[bool] = True
 
     def __post_init__(self, enforce_private_redaction: bool) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        check_integer("n", self.n)
         check_index(self.n, self.p)
         table = np.array(self.redact_prob, dtype=float)
         if table.shape != (self.n, 2):
@@ -176,11 +175,6 @@ def _check_budget(model: MarkovModel, p: int, eps: float, split) -> tuple[float,
             f"side budgets exceed the total: {eps_left} + {eps_right} > {eps}"
         )
     return float(eps_left), float(eps_right)
-
-
-def _check_grid_steps(grid_steps, name: str = "grid_steps") -> None:
-    if not isinstance(grid_steps, int) or isinstance(grid_steps, bool) or grid_steps < 1:
-        raise ValueError(f"{name} must be a positive integer, got {grid_steps!r}")
 
 
 def _build_3r(
@@ -306,7 +300,7 @@ def build_3r_numerical(
     |max L + max R|) is at most the sum of the two side leakages, hence at
     most eps_left + eps_right <= eps (up to the feasibility slack).
     """
-    _check_grid_steps(grid_steps)
+    check_integer("grid_steps", grid_steps)
 
     def smallest_fitting_q(rows, medium, eps_side, q_relax):
         def fits(q_side: float) -> bool:
@@ -327,6 +321,19 @@ def build_3r_numerical(
     return _build_3r(model, p, eps, split, smallest_fitting_q)
 
 
+def _covers_both_ends(model: MarkovModel, near: int, eps: float) -> bool:
+    """Whether eps covers the max influences of both chain ends, at distances
+    near - 1 and n - near from the private index ``near`` <= n + 1 - near.
+
+    Taking the far end one record further, at n + 1 - near, moves no MQ
+    window.  With H = influence_high, a = near - 1 >= 1 and b = n - near >= a,
+    the two tests differ only when H(b + 1) + H(a) <= eps < H(b) + H(a).  Then
+    H(a) <= eps, so delta*(eps) <= a, and eps/2 < H(a), so delta*(eps/2) >=
+    a + 1: the threshold near + delta*(eps) - 2 delta*(eps/2) is at most -1.
+    """
+    return eps >= influence_high(model, near - 1) + influence_high(model, model.n - near)
+
+
 def build_mq(
     model: MarkovModel, p: int, eps: float
 ) -> tuple[MqPlan, RedactionMechanism]:
@@ -334,10 +341,11 @@ def build_mq(
 
     With d* = delta_star and p' = min(p, n + 1 - p) the index mirrored into
     the left half, the window is one-sided ([1, p' + min(d*(eps), n - p')])
-    when p' = 1, when the budget cannot cover both chain ends, or when
-    p' + d*(eps) - 2 d*(eps/2) < 0; otherwise it extends d*(eps/2)
-    symmetrically to both sides.  For p in the right half of the chain the
-    two extents swap, so the one-sided window runs from p to record n.
+    when p' = 1, when the budget cannot cover both chain ends (see
+    :func:`_covers_both_ends`), or when p' + d*(eps) - 2 d*(eps/2) < 0;
+    otherwise it extends d*(eps/2) symmetrically to both sides.  For p in
+    the right half of the chain the two extents swap, so the one-sided
+    window runs from p to record n.
     """
     _check_budget(model, p, eps, None)
     n = model.n
@@ -346,8 +354,8 @@ def build_mq(
     d_half = delta_star(model, eps / 2.0)
     threshold = float(near + d_eps - 2 * d_half)
 
-    edge_budget = influence_high(model, n + 1 - near) + influence_high(model, near - 1)
-    if near == 1 or eps < edge_budget or threshold < 0:
+    # at p' = 1 the both-ends test still lets eps = inf through (inf >= inf)
+    if near == 1 or not _covers_both_ends(model, near, eps) or threshold < 0:
         branch = "one_sided"
         extents = (near - 1, min(d_eps, n - near))
     else:
@@ -388,12 +396,10 @@ def dim_upper_bound(model: MarkovModel, p: int, eps: float) -> DimBound:
     n = model.n
     if eps < influence_high(model, n - p):
         return DimBound(eps=eps, case="zero", r1=None, r2=None, value=0.0)
-    two_sided = eps >= influence_high(model, p - 1) + influence_high(model, n - p)
     r1 = _dim_delta_star(model, eps) + p - 1
     r2 = min(r1, 2 * _dim_delta_star(model, eps / 2.0) - 1)
-    if two_sided:
-        return DimBound(eps=eps, case="two_sided", r1=r1, r2=r2, value=1.0 - r2 / n)
-    return DimBound(eps=eps, case="one_sided", r1=r1, r2=r2, value=1.0 - r1 / n)
+    case, removed = ("two_sided", r2) if _covers_both_ends(model, p, eps) else ("one_sided", r1)
+    return DimBound(eps=eps, case=case, r1=r1, r2=r2, value=1.0 - removed / n)
 
 
 def mq_utility_bounds(model: MarkovModel, p: int, eps: float) -> tuple[float, float]:

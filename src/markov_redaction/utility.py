@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovModel, chain_states, stationary_marginal
+from .chain import MarkovModel, chain_states, check_integer, stationary_marginal
 from .mechanisms import RedactionMechanism
 
 __all__ = ["MonteCarloEstimate", "UtilityReport", "exact_utility", "monte_carlo_utility"]
@@ -45,26 +45,14 @@ class UtilityReport:
     monte_carlo: MonteCarloEstimate | None = None
 
 
-def _release_probabilities(
-    model: MarkovModel, mechanism: RedactionMechanism
-) -> np.ndarray:
-    pi0, pi1 = stationary_marginal(model)
-    table = mechanism.redact_prob
-    return pi0 * (1.0 - table[:, 0]) + pi1 * (1.0 - table[:, 1])
-
-
 def exact_utility(model: MarkovModel, mechanism: RedactionMechanism) -> UtilityReport:
     """Closed-form utility from the stationary marginal; no sampling."""
     mechanism.check_model(model)
-    per_record = _release_probabilities(model, mechanism)
+    pi0, pi1 = stationary_marginal(model)
+    table = mechanism.redact_prob
+    per_record = pi0 * (1.0 - table[:, 0]) + pi1 * (1.0 - table[:, 1])
     per_record.setflags(write=False)
     return UtilityReport(exact=float(per_record.mean()), per_record=per_record)
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        kind = "positive" if minimum else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def monte_carlo_utility(
@@ -83,8 +71,8 @@ def monte_carlo_utility(
     cannot change the estimate.  The standard error is the sample standard
     deviation of the per-path utilities divided by sqrt(trials).
     """
-    _check_count("trials", trials, 1)
-    _check_count("seed", seed, 0)
+    check_integer("trials", trials)
+    check_integer("seed", seed, 0)
     exact = exact_utility(model, mechanism)
     path_stream, redact_stream = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)

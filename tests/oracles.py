@@ -349,7 +349,7 @@ def set_influence_rows(model, p: int, indices: list[int]) -> tuple[np.ndarray, n
         previous = p
         prev_values = None  # None marks the conditioning record itself
         for t in side:
-            log_step = np.log(multi_step(model, abs(t - previous)).matrix())
+            log_step = np.log(multi_step(model, abs(t - previous)))
             values = bits[:, column[t]]
             if prev_values is None:
                 log_joint[0] += log_step[0, values]

@@ -92,7 +92,7 @@ def _grid_builds():
 def test_criterion_1_worked_example_end_to_end():
     with _criterion(1, "worked example end-to-end", 1.0) as crit:
         model = MarkovModel(2, 0.25, 0.5)
-        step = multi_step(model, 1).matrix()
+        step = multi_step(model, 1)
         assert step[0, 0] / step[1, 0] == 1.5
         assert step[0, 1] / step[1, 1] == 0.5
         assert step[1, 0] / step[0, 0] == 2 / 3

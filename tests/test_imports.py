@@ -1,5 +1,6 @@
 """The package's import structure: no import inside a function, and no
-cycle among the modules' top-level relative imports.
+cycle among the modules' top-level relative imports, and public name lists
+that agree with each other.
 
 A run-time import in a function body hides a dependency from the module
 header, usually to break a cycle; imports under ``if TYPE_CHECKING:`` are
@@ -10,6 +11,7 @@ the audit free of construction code: ``audit`` may name
 
 import ast
 import graphlib
+import importlib
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,18 @@ def test_the_checks_see_deferred_imports_and_cycles():
     assert top_level_relative_imports(guarded) == {"chain", "utility"}
     with pytest.raises(graphlib.CycleError):
         graphlib.TopologicalSorter({"audit": {"mechanisms"}, "mechanisms": {"audit"}}).prepare()
+
+
+def test_public_names_are_listed_once_and_resolve():
+    package = importlib.import_module("markov_redaction")
+    listed = {}
+    for name in sorted(MODULES.keys() - {"__init__"}):
+        module = importlib.import_module(f"markov_redaction.{name}")
+        listed[name] = module.__all__
+        assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+    for entry in package.__all__:
+        assert hasattr(package, entry), entry
+        assert sum(entry in entries for entries in listed.values()) == 1, entry
+    # the command line and the file format's extras are the only names left out
+    left_out = {entry for entries in listed.values() for entry in entries} - set(package.__all__)
+    assert left_out == {"main", "FORMAT_TAG", "dumps_mechanism"}

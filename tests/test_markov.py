@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,8 +28,11 @@ def test_stationary_marginal_values():
 def test_model_validation():
     with pytest.raises(ValueError, match="alpha <= beta"):
         MarkovModel(3, 0.6, 0.5)
-    with pytest.raises(ValueError, match="positive integer"):
-        MarkovModel(0, 0.25, 0.5)
+    for n in (True, 2.5, 0):
+        message = f"chain length n must be a positive integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MarkovModel(n, 0.25, 0.5)
+    assert MarkovModel(np.int64(4), 0.25, 0.5).n == 4
     with pytest.raises(ValueError, match="strictly inside"):
         MarkovModel(3, 0.0, 0.5)
     with pytest.raises(ValueError, match="strictly inside"):
@@ -39,21 +43,21 @@ def test_model_validation():
 
 def test_multi_step_single_step_returns_parameters():
     step = multi_step(MarkovModel(4, 0.25, 0.5), 1)
-    assert (step.alpha_delta, step.beta_delta) == (0.25, 0.5)
+    assert (step[0, 1], step[1, 0]) == (0.25, 0.5)
 
 
 def test_multi_step_two_steps_hand_squared():
     # squaring P = [[.75, .25], [.5, .5]] by hand gives alpha_2 = 0.3125, beta_2 = 0.625
     step = multi_step(MarkovModel(4, 0.25, 0.5), 2)
-    assert step.alpha_delta == pytest.approx(0.3125, abs=1e-15)
-    assert step.beta_delta == pytest.approx(0.625, abs=1e-15)
+    assert step[0, 1] == pytest.approx(0.3125, abs=1e-15)
+    assert step[1, 0] == pytest.approx(0.625, abs=1e-15)
     by_hand = np.array([[0.6875, 0.3125], [0.625, 0.375]])
-    assert np.allclose(step.matrix(), by_hand, atol=1e-15)
+    assert np.allclose(step, by_hand, atol=1e-15)
 
 
 def test_multi_step_decay_identity():
     step = multi_step(MarkovModel(4, 0.01, 0.8), 3)
-    assert 1.0 - step.alpha_delta - step.beta_delta == pytest.approx(0.19**3, abs=1e-12)
+    assert 1.0 - step[0, 1] - step[1, 0] == pytest.approx(0.19**3, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1e-17, 1e-13])
@@ -61,13 +65,17 @@ def test_multi_step_keeps_alpha_near_float_resolution(alpha):
     # 1 - alpha - beta rounds to 1 (or loses most digits) at these values,
     # so the decay must not be formed as 1 - (1 - alpha - beta)^delta.
     step = multi_step(MarkovModel(3, alpha, alpha), 1)
-    assert step.alpha_delta == pytest.approx(alpha, rel=1e-15, abs=0.0)
-    assert step.beta_delta == pytest.approx(alpha, rel=1e-15, abs=0.0)
+    assert step[0, 1] == pytest.approx(alpha, rel=1e-15, abs=0.0)
+    assert step[1, 0] == pytest.approx(alpha, rel=1e-15, abs=0.0)
 
 
 def test_multi_step_rejects_zero():
-    with pytest.raises(ValueError, match="positive integer"):
-        multi_step(MarkovModel(4, 0.25, 0.5), 0)
+    model = MarkovModel(4, 0.25, 0.5)
+    for delta in (True, 2.5, 0):
+        message = f"delta must be a positive integer, got {delta!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            multi_step(model, delta)
+    assert np.array_equal(multi_step(model, np.int64(3)), multi_step(model, 3))
 
 
 @pytest.mark.parametrize("alpha,beta", MODEL_GRID)
@@ -77,7 +85,7 @@ def test_multi_step_matches_matrix_power(alpha, beta):
     for delta in range(1, 21):
         explicit = np.linalg.matrix_power(transition, delta)
         step = multi_step(model, delta)
-        assert np.abs(step.matrix() - explicit).max() < 1e-12
+        assert np.abs(step - explicit).max() < 1e-12
 
 
 @pytest.mark.parametrize("alpha,beta", MODEL_GRID)
@@ -86,12 +94,12 @@ def test_multi_step_invariants(alpha, beta):
     pi0, pi1 = stationary_marginal(model)
     for delta in range(1, 21):
         step = multi_step(model, delta)
-        assert step.alpha_delta / step.beta_delta == pytest.approx(alpha / beta, abs=1e-12)
-        assert 1.0 - step.alpha_delta - step.beta_delta == pytest.approx(
+        assert step[0, 1] / step[1, 0] == pytest.approx(alpha / beta, abs=1e-12)
+        assert 1.0 - step[0, 1] - step[1, 0] == pytest.approx(
             (1.0 - alpha - beta) ** delta, abs=1e-12
         )
         # detailed balance: forward and backward transitions agree under stationarity
-        assert pi0 * step.alpha_delta == pytest.approx(pi1 * step.beta_delta, abs=1e-12)
+        assert pi0 * step[0, 1] == pytest.approx(pi1 * step[1, 0], abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,7 +112,7 @@ def test_multi_step_matches_matrix_power_hypothesis(alpha, spread, delta):
     beta = min(0.99, alpha + spread * (0.99 - alpha))
     model = MarkovModel(1, alpha, beta)
     explicit = np.linalg.matrix_power(model.transition_matrix(), delta)
-    assert np.abs(multi_step(model, delta).matrix() - explicit).max() < 1e-12
+    assert np.abs(multi_step(model, delta) - explicit).max() < 1e-12
 
 
 def sampled(model, seed):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,8 +46,10 @@ def test_mechanism_validation():
     with pytest.raises(ValueError, match="private index"):
         RedactionMechanism(n=2, p=3, redact_prob=np.ones((2, 2)))
     for n in (0, True, 2.5):
-        with pytest.raises(ValueError, match="positive integer"):
+        message = f"n must be a positive integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             RedactionMechanism(n=n, p=1, redact_prob=np.ones((1, 2)))
+    assert RedactionMechanism(n=np.int64(1), p=1, redact_prob=np.ones((1, 2))).n == 1
 
 
 def test_mechanism_released_indices_and_views():
@@ -159,8 +162,11 @@ def test_numerical_respects_custom_grid():
     # exact feasibility threshold is ~0.11923, so a 10-step grid lands on 0.2
     assert design.q == {2: pytest.approx(0.2, abs=1e-12)}
     for bad in (0, -3, True, 2.5, 10.0, "10", None):
-        with pytest.raises(ValueError):
+        message = f"grid_steps must be a positive integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_3r_numerical(MarkovModel(2, 0.25, 0.5), 1, 0.5, grid_steps=bad)
+    numpy_steps, _ = build_3r_numerical(MarkovModel(2, 0.25, 0.5), 1, 0.5, grid_steps=np.int64(10))
+    assert numpy_steps == design
 
 
 def assert_matches_linear_scan(model, p, eps, grid_steps):
@@ -446,11 +452,20 @@ def test_mq_bounds_sandwich():
         for n in (3, 6, 9):
             model = MarkovModel(n, alpha, beta)
             for p in range(1, (n + 1) // 2 + 1):
-                for eps in (0.25, 1.0, 4.0):
+                # the both-ends sums at the far end's distance and one past it, +-1 ulp
+                near_end = influence_high(model, p - 1)
+                edges = [near_end + influence_high(model, far) for far in (n - p, n + 1 - p)]
+                near_edges = [math.nextafter(e, to) for e in edges for to in (0.0, math.inf)]
+                for eps in (0.25, 1.0, 4.0, math.inf, *edges, *near_edges):
                     lower, exact = mq_utility_bounds(model, p, eps)
-                    dim = dim_upper_bound(model, p, eps).value
+                    dim = dim_upper_bound(model, p, eps)
                     assert lower <= exact + 1e-12
-                    assert exact <= dim + 1e-12
+                    assert exact <= dim.value + 1e-12
+                    # MQ widens both ways exactly where DIM's ceiling is two-sided,
+                    # unless its threshold is negative or p is a chain end
+                    plan, _ = build_mq(model, p, eps)
+                    symmetric = p > 1 and dim.case == "two_sided" and plan.threshold >= 0
+                    assert (plan.branch == "symmetric") == symmetric
 
 
 def test_three_r_utility_worked_example():
