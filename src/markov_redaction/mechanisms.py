@@ -324,6 +324,7 @@ def build_3r_numerical(
 def _covers_both_ends(model: MarkovModel, near: int, eps: float) -> bool:
     """Whether eps covers the max influences of both chain ends, at distances
     near - 1 and n - near from the private index ``near`` <= n + 1 - near.
+    False at near = 1, which has no left end (the sum alone lets eps = inf pass).
 
     Taking the far end one record further, at n + 1 - near, moves no MQ
     window.  With H = influence_high, a = near - 1 >= 1 and b = n - near >= a,
@@ -331,7 +332,9 @@ def _covers_both_ends(model: MarkovModel, near: int, eps: float) -> bool:
     H(a) <= eps, so delta*(eps) <= a, and eps/2 < H(a), so delta*(eps/2) >=
     a + 1: the threshold near + delta*(eps) - 2 delta*(eps/2) is at most -1.
     """
-    return eps >= influence_high(model, near - 1) + influence_high(model, model.n - near)
+    return near > 1 and eps >= (
+        influence_high(model, near - 1) + influence_high(model, model.n - near)
+    )
 
 
 def build_mq(
@@ -354,8 +357,7 @@ def build_mq(
     d_half = delta_star(model, eps / 2.0)
     threshold = float(near + d_eps - 2 * d_half)
 
-    # at p' = 1 the both-ends test still lets eps = inf through (inf >= inf)
-    if near == 1 or not _covers_both_ends(model, near, eps) or threshold < 0:
+    if not _covers_both_ends(model, near, eps) or threshold < 0:
         branch = "one_sided"
         extents = (near - 1, min(d_eps, n - near))
     else:

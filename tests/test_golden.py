@@ -18,12 +18,22 @@ three-region builders wrote their large and medium rows in one place and
 before the audit's side pass stopped at its last supported class;
 regenerate it with ``PYTHONPATH=src python tests/test_golden.py >
 tests/golden/designs.sha256``.
+
+``audits.sha256`` pins the audit bit for bit on about 1,500 seeded random
+tables the builders never make: fractional, sprinkled 0/1 and coin entries,
+broken private rows, and long sides with and without an always-released
+row.  It was recorded before the audit's side pass and witness moved onto
+plain floats with one ``np.log`` per pass; regenerate it with
+``PYTHONPATH=src python tests/test_golden.py audits >
+tests/golden/audits.sha256``.
 """
 
 import hashlib
 import math
 import random
 from pathlib import Path
+
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +50,7 @@ from markov_redaction import (
     mq_utility_bounds,
     three_r_utility,
 )
+from markov_redaction.audit import side_leakage
 from markov_redaction.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -163,5 +174,49 @@ def test_designs_match_recorded_digest():
     assert designs_digest() == (GOLDEN / "designs.sha256").read_text(encoding="utf-8").strip()
 
 
+def audits_digest(tables: int = 1492, seed: int = 23) -> str:
+    """sha256 over the audit reports and side scores of seeded random tables.
+
+    Tables of n = 1 to 13 cycle through four kinds: entries in (0, 1),
+    entries with sprinkled 0/1, 0/1 coins, and sprinkled entries with a
+    broken private row.  Then come 8 tables of n = 500 to 3,000, half with
+    entries in (0, 1) (no always-released row) and half with sprinkled 0/1
+    and one (0, 0) row.  Wherever row p always redacts, both outward sides'
+    ``side_leakage`` is hashed too.
+    """
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    long_sizes = (500, 800, 1200, 1500, 2000, 2400, 2800, 3000)
+    for trial in range(tables + len(long_sizes)):
+        long = trial >= tables
+        kind = (trial - tables) % 2 if long else trial % 4
+        n = long_sizes[trial - tables] if long else int(rng.integers(1, 14))
+        p = int(rng.integers(1, n + 1))
+        alpha = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.9))))
+        model = MarkovModel(n, alpha, float(rng.uniform(alpha, 0.99)))
+        table = rng.random((n, 2))
+        if kind == 2:
+            table = np.round(table)
+        elif kind != 0:
+            table[rng.random((n, 2)) < 0.3] = 1.0
+            table[rng.random((n, 2)) < 0.2] = 0.0
+        if kind != 3:
+            table[p - 1] = 1.0
+        if long and kind == 1:
+            table[(p - 1 + int(rng.integers(1, n))) % n] = 0.0
+        mechanism = RedactionMechanism(n, p, table, enforce_private_redaction=kind != 3)
+        report = exact_leakage(model, mechanism)
+        values = [n, p, model.alpha, model.beta, table.tobytes(), report.leakage,
+                  report.witness, report.outputs_enumerated, report.per_side]
+        if kind != 3:
+            values += [side_leakage(model, table[: p - 1][::-1]), side_leakage(model, table[p:])]
+        digest.update(repr(values).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_audits_match_recorded_digest():
+    assert audits_digest() == (GOLDEN / "audits.sha256").read_text(encoding="utf-8").strip()
+
+
 if __name__ == "__main__":
-    print(designs_digest())
+    print(audits_digest() if sys.argv[1:] == ["audits"] else designs_digest())

@@ -459,6 +459,7 @@ def test_mq_bounds_sandwich():
                 for eps in (0.25, 1.0, 4.0, math.inf, *edges, *near_edges):
                     lower, exact = mq_utility_bounds(model, p, eps)
                     dim = dim_upper_bound(model, p, eps)
+                    assert p > 1 or dim.case != "two_sided"  # p = 1 has no left end
                     assert lower <= exact + 1e-12
                     assert exact <= dim.value + 1e-12
                     # MQ widens both ways exactly where DIM's ceiling is two-sided,
@@ -466,6 +467,10 @@ def test_mq_bounds_sandwich():
                     plan, _ = build_mq(model, p, eps)
                     symmetric = p > 1 and dim.case == "two_sided" and plan.threshold >= 0
                     assert (plan.branch == "symmetric") == symmetric
+    # at p = 1 even eps = inf leaves DIM one-sided: one extra redaction, not two
+    assert mq_utility_bounds(MarkovModel(6, 0.2, 0.5), 1, math.inf) == (
+        pytest.approx(2 / 3), pytest.approx(2 / 3)
+    )
 
 
 def test_three_r_utility_worked_example():
