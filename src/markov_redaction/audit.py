@@ -38,6 +38,7 @@ The module imports no construction code.  At run time it needs only
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -137,6 +138,18 @@ def _log_ratios(masses: list) -> list:
     return [u - w for u, w in zip(logs[::2], logs[1::2])]
 
 
+def _row_slices(rows: np.ndarray):
+    """``rows`` as lists of (r0, r1) lists, in slices of 64, 128, 256, ... rows.
+
+    A side pass that stops early converts little more than the rows it
+    reads, and a side of at most 64 rows is one conversion.
+    """
+    start = 0
+    while start < len(rows):
+        yield rows[start : 2 * start + 64].tolist()
+        start = 2 * start + 64
+
+
 def _side_log_ratios(transition: list, rows: np.ndarray) -> list:
     """log Pr[c | X_p = 0] - log Pr[c | X_p = 1] for each first-release class c.
 
@@ -150,7 +163,7 @@ def _side_log_ratios(transition: list, rows: np.ndarray) -> list:
     (p00, p01), (p10, p11) = transition
     a0, a1, b0, b1 = 1.0, 0.0, 0.0, 1.0  # prefix state under X_p = 0 (a), X_p = 1 (b)
     reached, unseen = [], (math.nan, math.nan)  # class masses under X_p = 0, then X_p = 1
-    for r0, r1 in zip(rows[:, 0].tolist(), rows[:, 1].tolist()):
+    for r0, r1 in itertools.chain.from_iterable(_row_slices(rows)):
         u0, u1 = a0 * p00 + a1 * p10, a0 * p01 + a1 * p11
         w0, w1 = b0 * p00 + b1 * p10, b0 * p01 + b1 * p11
         reached += (u0, w0) if r0 < 1.0 else unseen  # a value never released has no class

@@ -13,6 +13,8 @@ package relies on when it walks the chain away from a conditioning record
 in both directions.  Every power P^delta keeps the same two-parameter form
 [[1 - a_d, a_d], [b_d, 1 - b_d]], with a_d / b_d = alpha / beta and
 1 - a_d - b_d = (1 - alpha - beta)^delta; :func:`multi_step` returns it.
+:func:`chain_states` turns uniforms into sampled paths, eight records to a
+byte, by bitwise scans with no loop over records.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def multi_step(model: MarkovModel, delta: int) -> np.ndarray:
 
 
 def chain_states(model: MarkovModel, uniforms: np.ndarray) -> np.ndarray:
-    """Chain states driven by ``uniforms`` along the last axis, as int8.
+    """Chain states driven by ``uniforms`` along the last axis, packed eight to a byte.
 
     Record 1 is ``uniforms[..., 0] < Pr[X = 1]``.  Each later uniform u acts
     on the previous state through P: from 0 the next state is u < alpha,
@@ -120,22 +122,40 @@ def chain_states(model: MarkovModel, uniforms: np.ndarray) -> np.ndarray:
     whatever the previous state: u < alpha flips it, alpha <= u < beta
     resets it to 0, and u >= beta keeps it.  A state is therefore the
     parity of the flips since the last reset (record 1 counts as a reset
-    followed by a flip when it is 1).  With c the running flip count, that
-    is the low bit of c XOR (c at the last reset), and c at the last reset
-    is the running maximum of c * reset, because c never decreases.  So the
-    states take two scans, a ``cumsum`` and a running maximum, with no loop
-    over records, and they equal the step-by-step recursion bit for bit.
+    followed by a flip when it is 1): a segmented prefix XOR of the flips,
+    cut at every reset.
+
+    The scan runs on bits.  Record t is bit (t - 1) % 8 of byte (t - 1) // 8
+    along the last axis (``np.packbits(..., bitorder="little")``), so the
+    result is uint8 of shape ``(..., ceil(n / 8))``; bits past record n carry
+    no meaning.  Inside each byte three shift steps (k = 1, 2, 4) double the
+    span each bit has XORed, stopping at a reset, and give every record its
+    state as if the byte were entered in state 0; the same steps mark the
+    records at or after the byte's first reset.  Across bytes the entry
+    states are the same scan on one bit per byte, the byte's last state,
+    cut at bytes that hold a reset: with c the running count of those bits,
+    a byte's exit state is the low bit of c XOR (c before the last such
+    byte), a ``cumsum`` and a running maximum over ceil(n / 8) values.  An
+    entry state of 1 flips the byte's records before its first reset.  The
+    states equal the step-by-step recursion bit for bit.
     """
-    n = uniforms.shape[-1]
     _, pi1 = stationary_marginal(model)
     flips = uniforms < model.alpha
     resets = uniforms < model.beta
     resets ^= flips  # alpha <= u < beta, as u < alpha implies u < beta
     flips[..., 0] = uniforms[..., 0] < pi1
     resets[..., 0] = False
-    counts = np.cumsum(flips, axis=-1, dtype=np.min_scalar_type(n))  # at most n
-    last = counts * resets
-    np.maximum.accumulate(last, axis=-1, out=last)  # in place: c at the last reset
+    states = np.packbits(flips, axis=-1, bitorder="little")
+    stops = np.packbits(resets, axis=-1, bitorder="little")
+    for shift in (2, 4, 16):  # << 1, 2, 4 as a product mod 256, which numpy runs faster
+        states ^= (states * shift) & ~stops
+        stops |= stops * shift  # bit j: a reset at or before bit j of its byte
+    exits = states >> 7  # each byte's last state, entered in state 0
+    counts = np.cumsum(exits, axis=-1, dtype=np.min_scalar_type(exits.shape[-1]))
+    last = counts - exits
+    last *= stops >> 7  # c before each byte that resets, else 0
+    np.maximum.accumulate(last, axis=-1, out=last)  # in place: c before the last such byte
     last ^= counts
-    last &= 1
-    return last.astype(np.int8)
+    entries = np.negative(last[..., :-1] & 1, dtype=np.uint8)  # 0 or 0xFF: the previous exit
+    states[..., 1:] ^= ~stops[..., 1:] & entries  # flip the records before the first reset
+    return states

@@ -18,9 +18,10 @@ with ``_assemble_table``, not from the package's per-side pass.
 ``mirrored`` reverses a mechanism's chain for the symmetry checks.
 ``reference_mq_lower_bound`` derives the Markov-quilt lower bound without
 ``dim_upper_bound``.  ``reference_regions`` classifies every record with
-its own two closed-form calls, and ``loop_sample_path`` and
-``loop_monte_carlo`` step the chain one record at a time: the per-record
-references for the package's zero-tail regions and its vectorised sampler.
+its own two closed-form calls, and ``loop_states``, ``loop_sample_path``
+and ``loop_monte_carlo`` step the chain one record at a time: the
+per-record references for the package's zero-tail regions and its
+bit-packed sampler.
 """
 
 import math
@@ -486,7 +487,7 @@ def reference_regions(model, p, eps_left, eps_right):
     return frozenset(small), frozenset(medium), frozenset(large)
 
 
-def _loop_states(model, uniforms):
+def loop_states(model, uniforms):
     """Chain states stepped record by record through P from the given uniforms."""
     _, pi1 = stationary_marginal(model)
     states = np.empty(uniforms.shape, dtype=np.int8)
@@ -501,7 +502,7 @@ def _loop_states(model, uniforms):
 def loop_sample_path(model, seed: int) -> np.ndarray:
     """The states ``chain_states`` must return on the first n uniforms of
     ``default_rng(seed)``, from a loop over records."""
-    return _loop_states(model, np.random.default_rng(seed).random(model.n))
+    return loop_states(model, np.random.default_rng(seed).random(model.n))
 
 
 def loop_monte_carlo(model, mechanism, trials: int, seed: int) -> tuple[float, float]:
@@ -513,7 +514,7 @@ def loop_monte_carlo(model, mechanism, trials: int, seed: int) -> tuple[float, f
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]
     n = model.n
-    states = _loop_states(model, path_stream.random((trials, n)))
+    states = loop_states(model, path_stream.random((trials, n)))
     coins = redact_stream.random((trials, n))
     redacted = coins < mechanism.redact_prob[np.arange(n)[None, :], states]
     per_path = 1.0 - redacted.mean(axis=1)

@@ -328,6 +328,39 @@ def test_side_pass_stops_at_the_first_always_released_row(monkeypatch):
     assert report.leakage == pytest.approx(influence_high(model, distance), abs=1e-12)
 
 
+
+class CountedRows(np.ndarray):
+    """Redaction rows that record how many rows each ``tolist`` converts."""
+
+    converted: list
+
+    def tolist(self):
+        CountedRows.converted.append(len(self))
+        return super().tolist()
+
+
+@pytest.mark.parametrize(
+    "side,distance,converted",
+    [
+        (10**6, 3, [64]),  # the MQ window's right side: one slice, not the whole side
+        (10**6, 64, [64, 128]),  # the stopping row is the 65th
+        (10**6, 300, [64, 128, 256]),
+        (50, 60, [50]),  # a side of at most 64 rows is one conversion
+        (64, 10**9, [64]),
+        (200, 10**9, [64, 128, 8]),  # no stopping row: the whole side, in doubling slices
+    ],
+)
+def test_side_pass_converts_only_the_rows_it_reads(side, distance, converted):
+    rows = np.full((side, 2), 0.5)
+    if distance < side:
+        rows[distance] = 0.0  # always released: the pass stops here
+    counted = rows.view(CountedRows)
+    CountedRows.converted = []
+    leakage = side_leakage(MarkovModel(side + 1, 0.01, 0.8), counted)
+    assert CountedRows.converted == converted
+    assert leakage == side_leakage(MarkovModel(side + 1, 0.01, 0.8), rows)
+
+
 LONG = 2000
 
 

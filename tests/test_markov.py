@@ -13,7 +13,7 @@ from markov_redaction import (
 )
 from markov_redaction.chain import chain_states
 
-from oracles import MODEL_GRID, loop_sample_path
+from oracles import MODEL_GRID, loop_sample_path, loop_states
 
 
 def test_stationary_marginal_values():
@@ -115,8 +115,13 @@ def test_multi_step_matches_matrix_power_hypothesis(alpha, spread, delta):
     assert np.abs(multi_step(model, delta) - explicit).max() < 1e-12
 
 
+def unpacked(states, n):
+    """The first n records of bit-packed states, one int8 per record."""
+    return np.unpackbits(states, axis=-1, count=n, bitorder="little").view(np.int8)
+
+
 def sampled(model, seed):
-    return chain_states(model, np.random.default_rng(seed).random(model.n))
+    return unpacked(chain_states(model, np.random.default_rng(seed).random(model.n)), model.n)
 
 
 def test_chain_states_deterministic_and_valid():
@@ -143,10 +148,51 @@ def test_chain_states_deterministic_and_valid():
 def test_sample_path_equals_the_record_loop(n, alpha, beta):
     model = MarkovModel(n, alpha, beta)
     for seed in (0, 1, 12345):
-        values = sampled(model, seed)
+        packed = chain_states(model, np.random.default_rng(seed).random(n))
         expected = loop_sample_path(model, seed)
-        assert values.dtype == expected.dtype == np.int8
-        assert np.array_equal(values, expected)
+        assert packed.dtype == np.uint8 and packed.shape == (-(-n // 8),)
+        assert np.array_equal(unpacked(packed, n), expected)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 63, 64, 65])  # 2^16 + 1: in test_utility
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [
+        (0.05, 0.6),
+        (0.3, 0.3),  # alpha = beta: no reset, the entry state crosses every byte
+        (0.7, 0.9),  # alpha + beta > 1
+        (1e-9, 0.5),  # almost no flips: long runs of 0 entered from resets
+        (0.5, 0.99),
+    ],
+)
+def test_sample_path_equals_the_record_loop_at_byte_edges(n, alpha, beta):
+    model = MarkovModel(n, alpha, beta)
+    packed = chain_states(model, np.random.default_rng(n).random(n))
+    assert packed.shape == (-(-n // 8),)
+    assert np.array_equal(unpacked(packed, n), loop_sample_path(model, n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 17, 64, 65, 200])
+def test_packed_states_on_chosen_flips_resets_and_keeps(n):
+    """Each record flips (u < alpha), resets (alpha <= u < beta) or keeps the
+    state; rows force a reset, a flip or a keep on every byte's first or last
+    record, so every entry state meets each of them at a byte edge."""
+    model = MarkovModel(n, 0.2, 0.6)  # Pr[X = 1] = 0.25
+    flip, reset, keep = 0.1, 0.4, 0.9
+    uniforms = np.random.default_rng(n).choice([flip, reset, keep], size=(9, n))
+    for row, value in enumerate((flip, reset, keep)):
+        uniforms[row, 8::8] = value  # a byte's first record
+        uniforms[3 + row, 7::8] = value  # a byte's last record
+    uniforms[6, 1:] = keep  # a state of 1 carried through every byte
+    uniforms[6, 0] = flip
+    uniforms[7, ::8] = reset  # a reset on every byte's first record, entered in state 1
+    uniforms[7, 1::8] = flip
+    uniforms[8, :] = flip  # a flip on every record
+    packed = chain_states(model, uniforms)
+    assert packed.shape == (9, -(-n // 8))
+    expected = loop_states(model, uniforms)
+    assert np.array_equal(unpacked(packed, n), expected)
+    assert expected[6].all() and not expected[7, 8::8].any()
 
 
 def test_chain_states_matches_stationary_and_transitions():

@@ -133,6 +133,33 @@ def test_monte_carlo_equals_the_record_loop(n, alpha, beta, p, trials):
             assert mc.standard_error == standard_error
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 63, 64, 65, 2**16 + 1])
+@pytest.mark.parametrize(
+    "alpha,beta,entries",
+    [
+        (0.05, 0.6, "r0 > r1"),
+        (0.3, 0.3, "0/1"),  # alpha = beta: the entry state crosses every byte
+        (0.7, 0.9, "r0 > r1"),  # alpha + beta > 1
+        (1e-9, 0.5, "0/1"),
+    ],
+)
+def test_monte_carlo_equals_the_record_loop_at_byte_edges(n, alpha, beta, entries):
+    """Chains whose ends fall on, before and after a byte edge, on tables
+    that redact 0 more often than 1 or hold only 0, 1 and 0.5."""
+    model = MarkovModel(n, alpha, beta)
+    rng = np.random.default_rng(n)
+    if entries == "0/1":
+        table = rng.choice([0.0, 1.0, 0.5], size=(n, 2))
+    else:
+        table = -np.sort(-rng.random((n, 2)), axis=1)  # r_t(0) >= r_t(1)
+    p = (n + 1) // 2
+    table[p - 1] = 1.0
+    mech = RedactionMechanism(n=n, p=p, redact_prob=table)
+    trials = max(2, 20_000 // n)
+    mc = monte_carlo_utility(model, mech, trials=trials, seed=5).monte_carlo
+    assert (mc.estimate, mc.standard_error) == loop_monte_carlo(model, mech, trials, 5)
+
+
 def test_monte_carlo_full_redaction_exact_zero():
     model = MarkovModel(4, 0.25, 0.5)
     mech = RedactionMechanism(n=4, p=1, redact_prob=np.ones((4, 2)))

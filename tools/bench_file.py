@@ -12,8 +12,9 @@ pairs and the head first in even ones; S is ``run_seconds`` from
 is read back.  The file at the repository root holds, per workload, side
 and end-to-end metric, the median, quartiles, minimum and maximum of the
 runs with their repeat count and every pair's value, how many pairs the
-head won, each pair's head/base ratio and their median, the Python and
-numpy versions and both git shas.  It is rewritten after every pair, so an
+head won, each pair's head/base ratio and their median, a verdict
+("improved", "worse", "unresolved" or "unchanged", see :func:`verdict`),
+the Python and numpy versions and both git shas.  It is rewritten after every pair, so an
 interrupted run keeps what it measured.
 """
 
@@ -47,7 +48,8 @@ def summarize(records: dict[str, list[dict]], metrics: list[dict]) -> dict:
     ``records`` maps "base" and "head" to equally long lists of the dicts
     ``bench/run.py`` writes; ``metrics`` are the ``end_to_end`` entries of
     ``BENCHMARK.json``.  A pair is won by the side whose value is better in
-    the metric's direction; ties count for neither.  Each pair's head/base
+    the metric's direction; ties count for neither.  Each metric also gets
+    a :func:`verdict`.  Each pair's head/base
     ratio, and their median, compare two runs made minutes apart, so a
     host that drifts between pairs moves them less than the sides' medians.
     """
@@ -67,9 +69,11 @@ def summarize(records: dict[str, list[dict]], metrics: list[dict]) -> dict:
         }
     summary["head_won_pairs"] = {}
     summary["head_over_base"] = {}
+    summary["verdicts"] = {}
     for metric in metrics:
         sign = 1.0 if metric["better"] == "higher" else -1.0
-        base, head = (summary[side]["metrics"][metric["name"]]["values"] for side in SIDES)
+        stats = [summary[side]["metrics"][metric["name"]] for side in SIDES]
+        base, head = (side_stats["values"] for side_stats in stats)
         summary["head_won_pairs"][metric["name"]] = sum(
             sign * (h - b) > 0 for b, h in zip(base, head)
         )
@@ -77,7 +81,33 @@ def summarize(records: dict[str, list[dict]], metrics: list[dict]) -> dict:
         summary["head_over_base"][metric["name"]] = {
             "median": statistics.median(ratios), "values": ratios,
         }
+        summary["verdicts"][metric["name"]] = verdict(*stats, metric["better"], metric["bound"])
     return summary
+
+
+def verdict(base: dict, head: dict, better: str, bound: float) -> str:
+    """"improved", "worse", "unresolved" or "unchanged": the head against the base on one metric.
+
+    ``base`` and ``head`` are :func:`spread` results with their values in
+    pair order.  The head improved when it wins at least 9 in 10 pairs and
+    the medians differ in its favour by more than the base's interquartile
+    range; "worse" is the mirror case.  When the base's interquartile range
+    relative to its median exceeds the metric's ``bound``, the runs cannot
+    resolve a change of that size, so the verdict is "unresolved" unless
+    every head run beats every base run.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    good_base, good_head = ([sign * value for value in side["values"]] for side in (base, head))
+    iqr = base["q3"] - base["q1"]
+    if iqr > bound * abs(base["median"]) and not min(good_head) > max(good_base):
+        return "unresolved"
+    gain = sign * (head["median"] - base["median"])
+    pairs = list(zip(good_base, good_head))
+    if 10 * sum(h > b for b, h in pairs) >= 9 * len(pairs) and gain > iqr:
+        return "improved"
+    if 10 * sum(h < b for b, h in pairs) >= 9 * len(pairs) and -gain > iqr:
+        return "worse"
+    return "unchanged"
 
 
 def _git(*argv: str) -> str:
