@@ -38,7 +38,6 @@ The module imports no construction code.  At run time it needs only
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -138,18 +137,6 @@ def _log_ratios(masses: list) -> list:
     return [u - w for u, w in zip(logs[::2], logs[1::2])]
 
 
-def _row_slices(rows: np.ndarray):
-    """``rows`` as lists of (r0, r1) lists, in slices of 64, 128, 256, ... rows.
-
-    A side pass that stops early converts little more than the rows it
-    reads, and a side of at most 64 rows is one conversion.
-    """
-    start = 0
-    while start < len(rows):
-        yield rows[start : 2 * start + 64].tolist()
-        start = 2 * start + 64
-
-
 def _side_log_ratios(transition: list, rows: np.ndarray) -> list:
     """log Pr[c | X_p = 0] - log Pr[c | X_p = 1] for each first-release class c.
 
@@ -163,17 +150,20 @@ def _side_log_ratios(transition: list, rows: np.ndarray) -> list:
     (p00, p01), (p10, p11) = transition
     a0, a1, b0, b1 = 1.0, 0.0, 0.0, 1.0  # prefix state under X_p = 0 (a), X_p = 1 (b)
     reached, unseen = [], (math.nan, math.nan)  # class masses under X_p = 0, then X_p = 1
-    for r0, r1 in itertools.chain.from_iterable(_row_slices(rows)):
-        u0, u1 = a0 * p00 + a1 * p10, a0 * p01 + a1 * p11
-        w0, w1 = b0 * p00 + b1 * p10, b0 * p01 + b1 * p11
-        reached += (u0, w0) if r0 < 1.0 else unseen  # a value never released has no class
-        reached += (u1, w1) if r1 < 1.0 else unseen
-        a0, a1, b0, b1 = u0 * r0, u1 * r1, w0 * r0, w1 * r1
-        scale = max(a0, a1, b0, b1)
-        if scale == 0.0:  # released whatever its value, or both states underflow:
-            # every later class, the all-redacted one too, is unsupported
-            return _log_ratios(reached + [math.nan, math.nan])
-        a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
+    start = 0  # rows go to floats in slices of 64, 128, 256, ...: an early stop converts few
+    while start < len(rows):
+        for r0, r1 in rows[start : 2 * start + 64].tolist():
+            u0, u1 = a0 * p00 + a1 * p10, a0 * p01 + a1 * p11
+            w0, w1 = b0 * p00 + b1 * p10, b0 * p01 + b1 * p11
+            reached += (u0, w0) if r0 < 1.0 else unseen  # a value never released has no class
+            reached += (u1, w1) if r1 < 1.0 else unseen
+            a0, a1, b0, b1 = u0 * r0, u1 * r1, w0 * r0, w1 * r1
+            scale = max(a0, a1, b0, b1)
+            if scale == 0.0:  # released whatever its value, or both states underflow:
+                # every later class, the all-redacted one too, is unsupported
+                return _log_ratios(reached + [math.nan, math.nan])
+            a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
+        start = 2 * start + 64
     return _log_ratios(reached + [a0 + a1, b0 + b1])  # the last class: all redacted
 
 

@@ -183,16 +183,16 @@ def test_packed_states_on_chosen_flips_resets_and_keeps(n):
     for row, value in enumerate((flip, reset, keep)):
         uniforms[row, 8::8] = value  # a byte's first record
         uniforms[3 + row, 7::8] = value  # a byte's last record
-    uniforms[6, 1:] = keep  # a state of 1 carried through every byte
-    uniforms[6, 0] = flip
-    uniforms[7, ::8] = reset  # a reset on every byte's first record, entered in state 1
-    uniforms[7, 1::8] = flip
-    uniforms[8, :] = flip  # a flip on every record
+    uniforms[6:8] = keep
+    uniforms[6:8, 0] = flip  # record 1 is 1, and row 6 carries it through every byte
+    uniforms[7, 8::8] = reset  # every later byte is entered in state 1 and resets at once
+    uniforms[7, 9::8] = flip
+    uniforms[8] = flip  # a flip on every record
     packed = chain_states(model, uniforms)
     assert packed.shape == (9, -(-n // 8))
     expected = loop_states(model, uniforms)
     assert np.array_equal(unpacked(packed, n), expected)
-    assert expected[6].all() and not expected[7, 8::8].any()
+    assert expected[6].all() and expected[7, 7::8].all() and not expected[7, 8::8].any()
 
 
 def test_chain_states_matches_stationary_and_transitions():
