@@ -39,7 +39,7 @@ for eps in grid:
         f"{eps:>7.3f} {ceiling:>7.3f} {mq_utility:>6.2f} "
         f"{exact_utility(model, relax_mech).exact:>7.4f} "
         f"{exact_utility(model, numerical_mech).exact:>8.4f} "
-        f"{leak:>10.6f} {'yes' if leak <= eps + 1e-9 else 'NO':>3}"
+        f"{leak:>10.6f} {'yes' if leak <= eps else 'NO':>3}"
     )
 print()
 print("the same sweep is exported as CSV by:")

@@ -44,7 +44,7 @@ for n in (10**3, 10**4):
             _, numerical_mech = build_3r_numerical(model, p, eps)
             relax_leak = exact_leakage(model, relax_mech).leakage
             numerical_leak = exact_leakage(model, numerical_mech).leakage
-            ok = max(relax_leak, numerical_leak) <= eps + 1e-9
+            ok = max(relax_leak, numerical_leak) <= eps
             failures += not ok
             print(
                 f"{n:>6} {p:>5} {eps:>5.2f} {ceiling:>9.6f} {mq_lower:>9.6f} "

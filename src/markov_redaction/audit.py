@@ -209,11 +209,12 @@ def exact_leakage(model: MarkovModel, mechanism: RedactionMechanism) -> LeakageR
     bound = max(map(abs, _extremes(sums)))
     per_side = tuple(max(map(abs, _extremes(e + end for e in at_p for end in ends)))
                      for ends in (left_ends, right_ends))
-    # the first (left class, symbol) in C order that reaches the bound, then the first right class
-    left_class, symbol = next(((i, s) for i, ratio in enumerate(left) for s, e in enumerate(at_p)
-                               if any(abs((ratio + e) + r) == bound for r in right_ends)), (0, 0))
+    # the first (left class, symbol) in C order that reaches the bound, then the first right class;
+    # both exist: every side and row p have a non-nan ratio, so the bound is a sum the scans recompute
+    left_class, symbol = next((i, s) for i, ratio in enumerate(left) for s, e in enumerate(at_p)
+                              if any(abs((ratio + e) + r) == bound for r in right_ends))
     inner = left[left_class] + at_p[symbol]
-    right_class = next((j for j, r in enumerate(right) if abs(inner + r) == bound), 0)
+    right_class = next(j for j, r in enumerate(right) if abs(inner + r) == bound)
     codes = np.where(table[:, 0] < 1.0, 0, np.where(table[:, 1] < 1.0, 1, 2))
     codes[p - 1] = symbol
     for outward, cls in ((codes[: p - 1][::-1], left_class), (codes[p:], right_class)):

@@ -15,7 +15,8 @@ the audit's side pass reads.  Three constructions are provided.
   from the delta_t terms of its medium rows: ``build_3r_relaxation`` by the
   closed-form relaxation, ``build_3r_numerical`` by bisecting a grid for
   the smallest q whose exact side leakage (the audit's first-release pass
-  up to the row past the last medium one) fits the side budget.
+  up to the row past the last medium one) fits the side budget, or q = 1,
+  which the regions prove, when no grid value below 1 does.
 
 * The Markov-quilt (MQ) baseline deterministically redacts a contiguous
   window around the private record, sized from the distances at which the
@@ -63,10 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID_STEPS = 999
-
-#: Slack absorbing float noise when the grid bisection compares audited leakage
-#: against the side budget; well under every documented tolerance.
-_FEASIBILITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,34 +283,31 @@ def build_3r_numerical(
 ) -> tuple[ThreeRDesign, RedactionMechanism]:
     """Three-region mechanism with the smallest exactly-audited side-constant q.
 
-    Per side, bisects the grid {i / grid_steps} for the smallest value
-    whose exact side leakage (:func:`audit.side_leakage` of the side's rows
-    up to the window end of :func:`_build_3r`) fits the side budget.  The
-    audited leakage does not rise as q rises, so this is the first passing
-    grid value; q = 1 (all of medium redacted) always fits.  The
-    relaxation's closed-form q, computed from the same side pass, joins the
-    candidate set, so the result never does worse than
-    :func:`build_3r_relaxation` even when the grid straddles it.
+    Per side, bisects the grid {i / grid_steps : i < grid_steps} for the
+    smallest value whose exact side leakage (:func:`audit.side_leakage` of
+    the side's rows up to the window end of :func:`_build_3r`) is at most
+    the side budget; the audited leakage does not rise as q rises.  If no
+    grid value fits, q = 1, unaudited: it redacts all of large and medium,
+    so the side's first release is its nearest small record, whose max
+    influence the regions put within the side budget.  The relaxation's
+    closed-form q, computed from the same side pass, joins the candidate
+    set, so the result never does worse than :func:`build_3r_relaxation`
+    even when the grid straddles it.
 
     No joint audit is needed: row p redacts with probability 1, so its
     emission log-ratio is 0 and the total leakage max(|min L + min R|,
     |max L + max R|) is at most the sum of the two side leakages, hence at
-    most eps_left + eps_right <= eps (up to the feasibility slack).
+    most eps_left + eps_right <= eps.
     """
     check_integer("grid_steps", grid_steps)
 
     def smallest_fitting_q(rows, medium, eps_side, q_relax):
         def fits(q_side: float) -> bool:
             rows[medium, 0] = q_side
-            return side_leakage(model, rows) <= eps_side + _FEASIBILITY_SLACK
+            return side_leakage(model, rows) <= eps_side
 
-        index = bisect.bisect_left(range(grid_steps + 1), True, key=lambda i: fits(i / grid_steps))
-        if index > grid_steps:
-            raise RuntimeError(
-                "redacting the whole medium region does not fit the side "
-                "budget, which indicates an internal inconsistency"
-            )
-        found = index / grid_steps
+        index = bisect.bisect_left(range(grid_steps), True, key=lambda i: fits(i / grid_steps))
+        found = index / grid_steps  # 1.0 when no grid value below 1 fits
         if q_relax < found and fits(q_relax):
             found = q_relax
         return found

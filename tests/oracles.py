@@ -41,7 +41,7 @@ from markov_redaction import (
     output_probability,
     stationary_marginal,
 )
-from markov_redaction.mechanisms import _FEASIBILITY_SLACK, _check_budget, build_3r_relaxation
+from markov_redaction.mechanisms import _check_budget, build_3r_relaxation
 
 #: Six (alpha, beta) points including an oscillating 1 - alpha - beta < 0 case
 #: and the independent case alpha + beta = 1.
@@ -431,12 +431,13 @@ def _assemble_table(model, p, regions, q) -> RedactionMechanism:
 def linear_scan_design(model, p, eps, grid_steps):
     """(q map, mechanism) of the numerical 3R design found by a linear scan.
 
-    Per side, audits q = i / grid_steps for i = 0, 1, ... and keeps the first
-    value whose restricted-chain leakage fits the side budget, then takes
-    the relaxation's q instead when it is smaller and also fits; the default
-    budget split and the feasibility slack are the package's.  Each
-    candidate is scored by the full ``exact_leakage`` of the side chain cut
-    from the whole table, not by the package's side pass.
+    Per side, audits q = i / grid_steps for i = 0, 1, ..., grid_steps - 1
+    and keeps the first value whose restricted-chain leakage is at most the
+    side budget, compared exactly, or 1.0 when none is; then takes the
+    relaxation's q instead when it is smaller and also fits.  The default
+    budget split is the package's.  Each candidate is scored by the full
+    ``exact_leakage`` of the side chain cut from the whole table, not by
+    the package's side pass.
     """
     eps_left, eps_right = _check_budget(model, p, eps, None)
     relax_design, _ = build_3r_relaxation(model, p, eps)
@@ -447,15 +448,15 @@ def linear_scan_design(model, p, eps, grid_steps):
         q.update((t, q_side) for t in regions.medium_by_distance(side))
         full = _assemble_table(model, p, regions, q)
         leak = exact_leakage(*side_chain(model, full, side)).leakage
-        return leak <= eps_side + _FEASIBILITY_SLACK
+        return leak <= eps_side
 
     side_q = {}
     for side, eps_side in ((-1, eps_left), (1, eps_right)):
         medium = regions.medium_by_distance(side)
         if not medium:
             continue
-        grid = (i / grid_steps for i in range(grid_steps + 1))
-        found = next(q_side for q_side in grid if fits(side, eps_side, q_side))
+        grid = (i / grid_steps for i in range(grid_steps))
+        found = next((q_side for q_side in grid if fits(side, eps_side, q_side)), 1.0)
         q_relax = relax_design.q[medium[0]]
         if q_relax < found and fits(side, eps_side, q_relax):
             found = q_relax

@@ -235,9 +235,9 @@ def test_numerical_audit_count_is_logarithmic(monkeypatch):
     p = 1
     design, _ = build_3r_numerical(FIG_MODEL, p, 1.0)
     assert design.regions.medium == {2, 3}
-    # A bisection of the 1,001 grid values, then the relaxation's q, each
-    # over the window of the two medium records and the released record 4.
-    passes = math.ceil(math.log2(1001)) + 1
+    # A bisection of the 999 grid values below 1, then the relaxation's q,
+    # each over the window of the two medium records and the released record 4.
+    passes = math.ceil(math.log2(999 + 1)) + 1
     assert 0 < len(audited) <= passes
     assert set(audited) == {3}
     # Far from both chain ends of a long chain, the window, and with it the
@@ -249,6 +249,50 @@ def test_numerical_audit_count_is_logarithmic(monkeypatch):
     _, short = build_3r_numerical(MarkovModel(1_000, 0.01, 0.8), 500, 1.0)
     assert np.array_equal(mech.redact_prob[p - 500 : p + 500], short.redact_prob)
     assert mech.redact_prob.sum() == short.redact_prob.sum()
+
+
+def test_numerical_search_fits_exactly_and_takes_q_one_from_the_regions(monkeypatch):
+    # Boundary budgets eps = influence_high(d) and log-uniform budgets down to 1e-15.
+    passes_at_one = []  # per side pass: does it run with every medium row at q = 1?
+    real_side_leakage = markov_redaction.mechanisms.side_leakage
+
+    def counting_side_leakage(model, rows):
+        passes_at_one.append(not ((rows[:, 0] < 1.0) & (rows[:, 1] == 1.0)).any())
+        return real_side_leakage(model, rows)
+
+    monkeypatch.setattr(markov_redaction.mechanisms, "side_leakage", counting_side_leakage)
+    rng = np.random.default_rng(25)
+    settled = {"searched": 0, "q = 1": 0}
+    for k in range(200):
+        n = int(rng.integers(3, 30))
+        alpha = math.exp(rng.uniform(math.log(0.005), math.log(0.9)))
+        model = MarkovModel(n, alpha, rng.uniform(alpha, 0.99))
+        p = int(rng.integers(1, n + 1))
+        if k % 2:
+            eps = math.exp(rng.uniform(math.log(1e-15), math.log(8.0)))
+        else:
+            distances = [d for d in range(1, n) if influence_high(model, d) > 0]  # eps = 0 is refused
+            eps = influence_high(model, int(rng.choice(distances)))
+        passes_at_one.clear()
+        design, mech = build_3r_numerical(model, p, eps)
+        table, regions = mech.redact_prob, design.regions
+        sides = ((-1, table[: p - 1][::-1], design.eps_left), (1, table[p:], design.eps_right))
+        for side, rows, eps_side in sides:
+            medium = regions.medium_by_distance(side)
+            if not medium:
+                continue
+            leak = real_side_leakage(model, rows)
+            if design.q[medium[0]] < 1.0:
+                settled["searched"] += 1
+                assert leak <= eps_side
+                continue
+            settled["q = 1"] += 1
+            assert not any(passes_at_one)
+            released = [d for d in range(1, len(rows) + 1)
+                        if p + side * d not in regions.medium | regions.large]
+            nearest = influence_high(model, released[0]) if released else 0.0
+            assert leak == pytest.approx(nearest, abs=1e-14)
+    assert settled["searched"] >= 100 and settled["q = 1"] >= 3, settled
 
 
 def test_mq_one_sided_window():
