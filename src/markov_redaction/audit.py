@@ -15,15 +15,19 @@ side being redacted.  One forward pass per side evaluates these
 2 * (side length) + 1 first-release classes under both conditionings, and
 the supremum over all outputs reduces to the extremes of each side's
 log-ratios.  A pass stops at the first record released whatever its value,
-past which no class is supported; only the witness re-evaluation is linear
-in n.  :func:`side_leakage` is one side's pass alone, the score the
-numerical three-region search compares against a budget.
+past which no class is supported, so an audit costs its window; only an
+O(n) ``np.where`` builds the witness string.  :func:`side_leakage` is one
+side's pass alone, the score the numerical three-region search compares
+against a budget.
 
 An output supported under exactly one conditioning certifies infinite
 leakage: it occurs with positive marginal probability yet pins the
-private value.  The witness is the lexicographically smallest output
-(0 < 1 < ⊥) of a binding class combination, and the reported leakage is
-that witness re-evaluated, under both conditionings in one pass.
+private value.  The reported leakage is the class arithmetic itself, the
+sum the search compares with each side budget; float rounding is
+monotone, so two sides within their budgets give a total within their
+sum.  The witness is the lexicographically smallest output (0 < 1 < ⊥) of
+a class combination attaining it; :func:`output_probability` re-evaluates
+it to the report up to rounding.
 
 Every pass runs on plain Python floats and takes one batched ``np.log`` of
 the masses it collected.  ``np.log`` is elementwise, so a log does not
@@ -39,7 +43,6 @@ The module imports no construction code.  At run time it needs only
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,7 +70,8 @@ class LeakageReport:
     string over {0, 1, ⊥} attaining it; ``outputs_enumerated`` counts the
     output classes compared (supported first-release classes on the left,
     times feasible symbols at p, times classes on the right).  ``per_side``
-    is the leakage restricted to [1, p] and to [p, n]; their sum bounds it.
+    is the leakage restricted to [1, p] and to [p, n]; when row p always
+    redacts, ``leakage`` is at most their float sum.
     """
 
     leakage: float
@@ -83,8 +87,7 @@ def output_probability(model: MarkovModel, mechanism: RedactionMechanism, y, x_p
     one pass rightward and one leftward from p folds each position's
     emission factor into the chain transition, renormalising at every step
     and summing the logs of the step masses exactly, so no chain length or
-    tiny entry underflows it.  The pass carries both conditionings at once;
-    :func:`exact_leakage` takes both from one pass for its witness.
+    tiny entry underflows it.
     """
     mechanism.check_model(model)
     if x_p not in (0, 1):
@@ -95,36 +98,23 @@ def output_probability(model: MarkovModel, mechanism: RedactionMechanism, y, x_p
         codes = np.array([_CODES[symbol] for symbol in y])[:, None]
     except KeyError as err:
         raise ValueError(f"output symbols must be one of {_SYMBOLS}, got {err.args[0]!r}") from None
-    transition = model.transition_matrix().tolist()
-    return _log_probabilities(transition, mechanism.redact_prob, mechanism.p, codes)[x_p]
-
-
-def _log_probabilities(transition: list, table: np.ndarray, p: int, codes: np.ndarray) -> list:
-    """[log Pr[y | X_p = 0], log Pr[y | X_p = 1]] for the output y with symbol codes ``codes``, (n, 1)."""
+    table, p = mechanism.redact_prob, mechanism.p
     # emit[t - 1, x] = Pr[Y_t = y_t | X_t = x]
     emit = np.where(codes == 2, table, np.where(codes == np.arange(2), 1.0 - table, 0.0))
-    (p00, p01), (p10, p11) = transition
-    first = emit[p - 1].tolist()
-    possible = [mass > 0.0 for mass in first]
-    masses = array("d", [mass if mass > 0.0 else 1.0 for mass in first])  # X_p = 0, 1 interleaved
-    push = masses.append
+    (p00, p01), (p10, p11) = model.transition_matrix().tolist()
+    masses = [emit[p - 1, x_p].item()]
+    if masses[0] <= 0.0:
+        return -math.inf
     for side in (emit[p:], emit[: p - 1][::-1]):
-        a0, a1, b0, b1 = 1.0, 0.0, 0.0, 1.0  # state under X_p = 0 (a), X_p = 1 (b)
+        s0, s1 = (1.0, 0.0) if x_p == 0 else (0.0, 1.0)
         for e0, e1 in zip(side[:, 0].tolist(), side[:, 1].tolist()):
-            a0, a1 = (a0 * p00 + a1 * p10) * e0, (a0 * p01 + a1 * p11) * e1
-            b0, b1 = (b0 * p00 + b1 * p10) * e0, (b0 * p01 + b1 * p11) * e1
-            total_a, total_b = a0 + a1, b0 + b1
-            if total_a <= 0.0 or total_b <= 0.0:  # y is impossible under that conditioning
-                possible = [possible[0] and total_a > 0.0, possible[1] and total_b > 0.0]
-                if not any(possible):
-                    return [-math.inf, -math.inf]
-                survivor = (a0, a1, total_a) if total_a > 0.0 else (b0, b1, total_b)
-                a0, a1, total_a, b0, b1, total_b = survivor * 2  # a dead slot is never read
-            a0, a1, b0, b1 = a0 / total_a, a1 / total_a, b0 / total_b, b1 / total_b
-            push(total_a)
-            push(total_b)
-    logs = np.log(np.frombuffer(masses)).tolist()
-    return [math.fsum(logs[x_p::2]) if possible[x_p] else -math.inf for x_p in (0, 1)]
+            s0, s1 = (s0 * p00 + s1 * p10) * e0, (s0 * p01 + s1 * p11) * e1
+            total = s0 + s1
+            if total <= 0.0:
+                return -math.inf
+            s0, s1 = s0 / total, s1 / total
+            masses.append(total)
+    return math.fsum(np.log(masses).tolist())
 
 
 def _log_ratios(masses: list) -> list:
@@ -145,7 +135,9 @@ def _side_log_ratios(transition: list, rows: np.ndarray) -> list:
     the last is "every record redacted": the lexicographic order of their
     smallest outputs.  Unsupported classes are nan; one supported under one
     conditioning only is +-inf.  Both conditionings' ⊥-prefix states share
-    one rescaling per step, which cancels in every ratio.
+    one rescaling per step, which cancels in every ratio.  A side whose
+    every row redacts both values has all-redacted masses of exactly 1
+    under both conditionings, so its ratio is exactly 0.
     """
     (p00, p01), (p10, p11) = transition
     a0, a1, b0, b1 = 1.0, 0.0, 0.0, 1.0  # prefix state under X_p = 0 (a), X_p = 1 (b)
@@ -164,6 +156,8 @@ def _side_log_ratios(transition: list, rows: np.ndarray) -> list:
                 return _log_ratios(reached + [math.nan, math.nan])
             a0, a1, b0, b1 = a0 / scale, a1 / scale, b0 / scale, b1 / scale
         start = 2 * start + 64
+    if (rows == 1.0).all():  # surely all redacted: a0 + a1 and b0 + b1 are 1 up to rounding
+        return _log_ratios(reached + [1.0, 1.0])
     return _log_ratios(reached + [a0 + a1, b0 + b1])  # the last class: all redacted
 
 
@@ -178,7 +172,7 @@ def side_leakage(model: MarkovModel, rows: np.ndarray) -> float:
 
     This is max(|min L|, |max L|) over the side's first-release log-ratios
     L, which equals the matching ``per_side`` entry of :func:`exact_leakage`
-    when row p always redacts.  It skips the witness and its re-evaluation.
+    when row p always redacts.  It skips the other side and the witness.
     """
     return max(map(abs, _extremes(_side_log_ratios(model.transition_matrix().tolist(), rows))))
 
@@ -189,7 +183,8 @@ def exact_leakage(model: MarkovModel, mechanism: RedactionMechanism) -> LeakageR
     The total is the max over feasible symbols s at p of
     max(|e_s + min L + min R|, |e_s + max L + max R|), where e_s is the
     emission log-ratio of s and L, R are the class log-ratios of the left
-    and right sides; each per-side leakage drops the other side.  Ties
+    and right sides; each per-side leakage drops the other side.  That
+    total is the reported leakage, and the witness is its argmax.  Ties
     break to the lexicographically smallest witness (0 < 1 < ⊥): the
     ⊥-prefix, the released value, then the smallest feasible symbol at
     every other position, possible because every transition is.
@@ -206,22 +201,20 @@ def exact_leakage(model: MarkovModel, mechanism: RedactionMechanism) -> LeakageR
     left_ends, right_ends = _extremes(left), _extremes(right)
     # (L + e) + R never falls as L or R rises, rounding included, so only the ends can bind
     sums = ((end + e) + r for e in at_p for end in left_ends for r in right_ends)
-    bound = max(map(abs, _extremes(sums)))
+    leakage = max(map(abs, _extremes(sums)))
     per_side = tuple(max(map(abs, _extremes(e + end for e in at_p for end in ends)))
                      for ends in (left_ends, right_ends))
-    # the first (left class, symbol) in C order that reaches the bound, then the first right class;
-    # both exist: every side and row p have a non-nan ratio, so the bound is a sum the scans recompute
+    # the first (left class, symbol) in C order reaching the leakage, then the first right class;
+    # both exist: every side and row p have a non-nan ratio, so the scans recompute the leakage
     left_class, symbol = next((i, s) for i, ratio in enumerate(left) for s, e in enumerate(at_p)
-                              if any(abs((ratio + e) + r) == bound for r in right_ends))
+                              if any(abs((ratio + e) + r) == leakage for r in right_ends))
     inner = left[left_class] + at_p[symbol]
-    right_class = next(j for j, r in enumerate(right) if abs(inner + r) == bound)
+    right_class = next(j for j, r in enumerate(right) if abs(inner + r) == leakage)
     codes = np.where(table[:, 0] < 1.0, 0, np.where(table[:, 1] < 1.0, 1, 2))
     codes[p - 1] = symbol
     for outward, cls in ((codes[: p - 1][::-1], left_class), (codes[p:], right_class)):
         k, value = divmod(cls, 2)  # the ⊥-prefix, then the released value if any
         outward[:k], outward[k : k + 1] = 2, value
     witness = "".join(np.array(_SYMBOLS)[codes].tolist())
-    log_0, log_1 = _log_probabilities(transition, table, p, codes[:, None])
-    leakage = math.inf if math.isinf(log_0) or math.isinf(log_1) else abs(log_0 - log_1)
     supported = [sum(ratio == ratio for ratio in ratios) for ratios in (left, at_p, right)]
     return LeakageReport(leakage, witness, math.prod(supported), per_side)

@@ -162,8 +162,8 @@ def _check_budget(model: MarkovModel, p: int, eps: float, split) -> tuple[float,
         raise ValueError(f"eps must be positive, got {eps!r}")
     check_index(model.n, p)
     if split is None:
-        # p = 1: everything rides on the right side; otherwise split evenly.
-        return (0.0, eps) if p == 1 else (eps / 2.0, eps / 2.0)
+        # An end record spends everything on its one side; otherwise split evenly.
+        return (0.0, eps) if p == 1 else (eps, 0.0) if p == model.n else (eps / 2.0, eps / 2.0)
     eps_left, eps_right = split
     if not (eps_left >= 0 and eps_right >= 0):
         raise ValueError("side budgets must be nonnegative")
@@ -268,8 +268,8 @@ def build_3r_relaxation(
     that side's medium indices, where |M_i| counts the medium indices at
     distance at most |i - p| on the same side.  Region membership
     guarantees delta_i <= eps_side, hence 0 < q <= 1.  The default split
-    puts the whole budget on the right side for p = 1 and splits it evenly
-    otherwise.
+    puts the whole budget on the right side for p = 1, on the left side for
+    p = n > 1, and splits it evenly otherwise.
     """
     return _build_3r(model, p, eps, split, lambda rows, medium, eps_side, q_relax: q_relax)
 

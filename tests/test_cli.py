@@ -517,7 +517,7 @@ def test_audit_command_pass_and_fail(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "audit", str(path), "--eps", "0.5")
     assert code == 0
     assert "result: PASS" in out
-    assert "leakage: 0.4924764850977943" in out
+    assert "leakage: 0.4924764850977942" in out
     assert "witness: ⊥⊥" in out
     assert "left_leakage: 0.0" in out
 

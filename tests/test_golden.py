@@ -3,37 +3,44 @@
 The files were recorded before the audit and the numerical search were
 restructured, ``example1.txt`` before the set influence became the
 nearest-pair closed form, and the last three cases before the regions, the
-sampler and the CSV writer stopped looping over records, so any change in a design, an audited leakage, a
-set influence or a Monte-Carlo estimate shows up here as a differing byte.
-Regenerate one by running its command line below and redirecting stdout
-into the file.
+sampler and the CSV writer stopped looping over records, so any change in a
+design, an audited leakage, a set influence or a Monte-Carlo estimate shows
+up here as a differing byte.  The audited leakages (the ``leak_`` columns
+and the audited-leakage line of ``example1.txt``) were re-recorded when the
+audit began to report its class arithmetic instead of re-evaluating the
+witness; every other byte was kept.  Regenerate one by running its command
+line below and redirecting stdout into the file.  ``PYTHONPATH=src python
+tests/test_golden.py moved`` lists each cell that differs from the recorded
+files (file, line, column, recorded, new, |Δ|) and writes nothing.
 
 Outputs of n = 10^5 records are pinned by their sha256 instead, recorded
 before the CSV writer built the whole table as one byte array; regenerate
 one with ``markov-redaction <command line> | sha256sum``.
 
 ``designs.sha256`` pins the library below the CLI: every builder, bound and
-audit on about 400 seeded random points.  It was recorded before the
-three-region builders wrote their large and medium rows in one place and
-before the audit's side pass stopped at its last supported class;
-regenerate it with ``PYTHONPATH=src python tests/test_golden.py >
-tests/golden/designs.sha256``.
+audit on about 400 seeded random points.  It was last recorded when the
+audit began to report its class arithmetic and the default split at p = n
+began to put the whole budget on the left; regenerate it with
+``PYTHONPATH=src python tests/test_golden.py > tests/golden/designs.sha256``.
 
 ``audits.sha256`` pins the audit bit for bit on about 1,500 seeded random
 tables the builders never make: fractional, sprinkled 0/1 and coin entries,
 broken private rows, and long sides with and without an always-released
-row.  It was recorded before the audit's side pass and witness moved onto
-plain floats with one ``np.log`` per pass; regenerate it with
+row.  It was last recorded when the audit began to report its class
+arithmetic instead of re-evaluating the witness; regenerate it with
 ``PYTHONPATH=src python tests/test_golden.py audits >
 tests/golden/audits.sha256``.
 """
 
+import contextlib
 import hashlib
+import io
+import itertools
 import math
 import random
-from pathlib import Path
-
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,5 +225,36 @@ def test_audits_match_recorded_digest():
     assert audits_digest() == (GOLDEN / "audits.sha256").read_text(encoding="utf-8").strip()
 
 
+def moved_cells():
+    """(file, line, column, recorded, new, |Δ|) for each cell where a CLI golden differs.
+
+    A CSV cell is named by its header, a text token by its place in the
+    line; |Δ| is "-" unless both values are numbers.
+    """
+    for name in sorted(CASES):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(CASES[name])
+        recorded = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+        csv = name.endswith(".csv")
+        split = (lambda line: line.split(",")) if csv else re.compile(r",?\s+").split
+        header = recorded[0].split(",") if csv else []
+        lines = itertools.zip_longest(recorded, out.getvalue().splitlines(), fillvalue="")
+        for number, (old_line, new_line) in enumerate(lines, 1):
+            cells = itertools.zip_longest(split(old_line), split(new_line), fillvalue="")
+            for column, (old, new) in enumerate(cells):
+                if old != new:
+                    try:
+                        delta = repr(abs(float(new) - float(old)))
+                    except ValueError:
+                        delta = "-"
+                    label = header[column] if column < len(header) else column + 1
+                    yield name, number, label, old, new, delta
+
+
 if __name__ == "__main__":
-    print(audits_digest() if sys.argv[1:] == ["audits"] else designs_digest())
+    if sys.argv[1:] == ["moved"]:
+        for cell in moved_cells():
+            print(*cell, sep="\t")
+    else:
+        print(audits_digest() if sys.argv[1:] == ["audits"] else designs_digest())

@@ -295,6 +295,27 @@ def test_numerical_search_fits_exactly_and_takes_q_one_from_the_regions(monkeypa
     assert settled["searched"] >= 100 and settled["q = 1"] >= 3, settled
 
 
+def test_default_split_is_mirror_symmetric():
+    # A stationary two-state chain is reversible, so p and n + 1 - p are one problem.
+    rng = np.random.default_rng(26)
+    points = [(MarkovModel(12, 0.180265924121619, 0.5545561415020169), 12, 0.18905786568201352)]
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        alpha = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.9))))
+        model = MarkovModel(n, alpha, float(rng.uniform(alpha, 0.99)))
+        eps = float(np.exp(rng.uniform(math.log(0.01), math.log(8.0))))
+        points += [(model, n, eps), (model, int(rng.integers(1, n + 1)), eps)]
+    for model, p, eps in points:
+        for build in (build_3r_relaxation, build_3r_numerical):
+            near, far = (exact_utility(model, build(model, t, eps)[1]).exact
+                         for t in (p, model.n + 1 - p))
+            assert near == pytest.approx(far, abs=1e-12)
+    example, n, eps = points[0]
+    assert exact_utility(example, build_3r_numerical(example, n, eps)[1]).exact == pytest.approx(
+        0.7975, abs=5e-5
+    )
+
+
 def test_mq_one_sided_window():
     plan, mech = build_mq(FIG_MODEL, 1, 1.0)
     assert plan.branch == "one_sided"
