@@ -5,7 +5,8 @@ the chain is stationary, every record has the same marginal and the exact
 value is a one-line sum over the table; the Monte-Carlo estimator exists
 to cross-check that closed form end to end (sample a path, flip the
 redaction coins, count survivors).  The sampler works on bit-packed
-states and coin outcomes, eight records to a byte.
+states, eight records to a byte, and flips a coin only for a record whose
+row is random: one with an entry strictly between 0 and 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .mechanisms import RedactionMechanism
 __all__ = ["MonteCarloEstimate", "UtilityReport", "exact_utility", "monte_carlo_utility"]
 
 #: Records drawn per chunk of trials: a chunk's uniforms, coins and masks
-#: (about 1.2 MB) fit a 2 MiB L2 cache.
+#: (at most about 1.2 MB) fit a 2 MiB L2 cache.
 _RECORDS_PER_CHUNK = 1 << 16
 
 
@@ -69,13 +70,24 @@ def monte_carlo_utility(
     :func:`chain.chain_states` with no loop over records.  Both streams
     fill their arrays row-major, so drawing (a, n) and then (b, n) uniforms
     gives the same numbers as drawing (a + b, n) at once: the chunk size
-    cannot change the estimate.  Redactions are counted on bits packed as
-    the states are, eight records to a byte: a record is redacted when its
-    coin falls below its state's column, the two columns' outcomes packed
-    and merged by the state bits, and the set bits of each row counted
-    through a 256-entry table.  Padding bits past record n are 0 in both
-    columns, so they never count.  The standard error is the sample
-    standard deviation of the per-path utilities divided by sqrt(trials).
+    cannot change the estimate.
+
+    Only a random row, one with an entry strictly between 0 and 1, needs a
+    coin.  The coins are drawn as (trials, k) for the k random rows, in
+    record order, and not at all when k is 0, as in every Markov-quilt
+    window; a random row redacts its record when its coin falls below its
+    state's entry, the state bit read from the packed states.  Every other
+    row redacts its record exactly when its state's entry is 1.  Those
+    rows are counted on bits packed as the states are, eight records to a
+    byte: two masks built once per call mark the rows whose column-0 and
+    column-1 entries are 1, the state bits pick one of them, and the set
+    bits of each row are counted through a 256-entry table.  Random rows
+    and padding bits past record n are 0 in both masks, so they never
+    count there.  The sampler keeps the coins, rather than summing each
+    path's expected release, because it is the end-to-end cross-check of
+    the closed form: it releases records as the mechanism would.  The
+    standard error is the sample standard deviation of the per-path
+    utilities divided by sqrt(trials).
     """
     check_integer("trials", trials)
     check_integer("seed", seed, 0)
@@ -84,9 +96,17 @@ def monte_carlo_utility(
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]
     n = model.n
-    low, high = (np.ascontiguousarray(column) for column in mechanism.redact_prob.T)
+    table = mechanism.redact_prob
+    random_rows = ((table > 0.0) & (table < 1.0)).any(axis=1)
+    k = np.flatnonzero(random_rows)
+    low, high = (
+        np.packbits((column == 1.0) & ~random_rows, bitorder="little") for column in table.T
+    )
+    flip = low ^ high
+    k_bytes, k_masks = k >> 3, (1 << (k & 7)).astype(np.uint8)
+    k_low, k_high = table[k, 0], table[k, 1]
     rows = min(trials, max(1, _RECORDS_PER_CHUNK // n))
-    uniforms, coins = np.empty((rows, n)), np.empty((rows, n))  # reused by every chunk
+    uniforms, coins = np.empty((rows, n)), np.empty((rows, k.size))  # reused by every chunk
 
     byte_values = np.arange(256, dtype=np.uint8)[:, None]
     set_bits = np.unpackbits(byte_values, axis=1).sum(axis=1, dtype=np.uint8)  # per byte value
@@ -95,13 +115,16 @@ def monte_carlo_utility(
     for done in range(0, trials, rows):
         chunk = min(rows, trials - done)
         states = chain_states(model, path_stream.random(out=uniforms[:chunk]))
-        drawn = redact_stream.random(out=coins[:chunk])
-        redacted = np.packbits(drawn < low, axis=-1, bitorder="little")
-        flip = np.packbits(drawn < high, axis=-1, bitorder="little")
-        flip ^= redacted
-        flip &= states
-        redacted ^= flip  # low ^ (state & (low ^ high)): the state's column; padding stays 0
+        redacted = states & flip
+        redacted ^= low  # low ^ (state & (low ^ high)): the state's column; padding stays 0
         counts = np.take(set_bits, redacted).sum(axis=1, dtype=np.int64)
+        if k.size:
+            drawn = redact_stream.random(out=coins[:chunk])
+            coin_redacted, coin_flip = drawn < k_low, drawn < k_high
+            coin_flip ^= coin_redacted
+            coin_flip &= (states[:, k_bytes] & k_masks) != 0  # the random rows' state bits
+            coin_redacted ^= coin_flip  # the same merge as above, on one coin per random row
+            counts += coin_redacted.sum(axis=1)
         per_path[done : done + chunk] = 1.0 - counts / n
 
     estimate = float(per_path.mean())

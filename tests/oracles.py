@@ -509,15 +509,23 @@ def loop_sample_path(model, seed: int) -> np.ndarray:
 def loop_monte_carlo(model, mechanism, trials: int, seed: int) -> tuple[float, float]:
     """(estimate, standard error) ``monte_carlo_utility`` must return, from a loop over records.
 
-    Same streams as the package, each drawn as one (trials, n) array.
+    Same streams as the package, each drawn as one array: the paths as
+    (trials, n), the coins as (trials, k) for the k rows with an entry
+    strictly between 0 and 1, in record order.  Any other row redacts its
+    record exactly when the state's entry is 1.
     """
     path_stream, redact_stream = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]
     n = model.n
+    table = mechanism.redact_prob
     states = loop_states(model, path_stream.random((trials, n)))
-    coins = redact_stream.random((trials, n))
-    redacted = coins < mechanism.redact_prob[np.arange(n)[None, :], states]
+    entries = table[np.arange(n)[None, :], states]
+    random_rows = [t for t in range(n) if any(0.0 < r < 1.0 for r in table[t])]
+    redacted = entries == 1.0
+    if random_rows:
+        coins = redact_stream.random((trials, len(random_rows)))
+        redacted[:, random_rows] = coins < entries[:, random_rows]
     per_path = 1.0 - redacted.mean(axis=1)
     standard_error = float(per_path.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
     return float(per_path.mean()), standard_error

@@ -8,7 +8,11 @@ design, an audited leakage, a set influence or a Monte-Carlo estimate shows
 up here as a differing byte.  The audited leakages (the ``leak_`` columns
 and the audited-leakage line of ``example1.txt``) were re-recorded when the
 audit began to report its class arithmetic instead of re-evaluating the
-witness; every other byte was kept.  Regenerate one by running its command
+witness.  The ``mc_3r-relaxation`` and ``mc_3r-numerical`` cells of the
+two Monte-Carlo files were re-recorded when the sampler began to draw
+coins only for rows with an entry strictly between 0 and 1, which moved
+the coin stream of the 3R tables; every other byte, every ``mc_mq`` cell
+included, was kept.  Regenerate one by running its command
 line below and redirecting stdout into the file.  ``PYTHONPATH=src python
 tests/test_golden.py moved`` lists each cell that differs from the recorded
 files (file, line, column, recorded, new, |Δ|) and writes nothing.

@@ -14,7 +14,7 @@ from markov_redaction import (
     stationary_marginal,
 )
 
-from oracles import loop_monte_carlo
+from oracles import loop_monte_carlo, loop_states
 
 EXAMPLE_MODEL = MarkovModel(2, 0.25, 0.5)
 EXAMPLE_MECH = RedactionMechanism(n=2, p=1, redact_prob=[[1.0, 1.0], [0.125, 1.0]])
@@ -141,23 +141,67 @@ def test_monte_carlo_equals_the_record_loop(n, alpha, beta, p, trials):
         (0.3, 0.3, "0/1"),  # alpha = beta: the entry state crosses every byte
         (0.7, 0.9, "r0 > r1"),  # alpha + beta > 1
         (1e-9, 0.5, "0/1"),
+        (0.05, 0.6, "coins at 7, 8, 9, 16, n"),
+        (0.3, 0.3, "no coin"),
+        (0.7, 0.9, "every row a coin"),
+        (0.05, 0.6, "one coin"),
     ],
 )
 def test_monte_carlo_equals_the_record_loop_at_byte_edges(n, alpha, beta, entries):
     """Chains whose ends fall on, before and after a byte edge, on tables
-    that redact 0 more often than 1 or hold only 0, 1 and 0.5."""
+    that redact 0 more often than 1 or hold only 0, 1 and 0.5, and on 0/1
+    tables with random rows (an entry strictly between 0 and 1, so a coin)
+    at records 7, 8, 9, 16 and n, at none, at every record or at one."""
     model = MarkovModel(n, alpha, beta)
     rng = np.random.default_rng(n)
-    if entries == "0/1":
-        table = rng.choice([0.0, 1.0, 0.5], size=(n, 2))
-    else:
-        table = -np.sort(-rng.random((n, 2)), axis=1)  # r_t(0) >= r_t(1)
     p = (n + 1) // 2
-    table[p - 1] = 1.0
-    mech = RedactionMechanism(n=n, p=p, redact_prob=table)
+    if entries in ("0/1", "r0 > r1"):
+        if entries == "0/1":
+            table = rng.choice([0.0, 1.0, 0.5], size=(n, 2))
+        else:
+            table = -np.sort(-rng.random((n, 2)), axis=1)  # r_t(0) >= r_t(1)
+        table[p - 1] = 1.0
+        mech = RedactionMechanism(n=n, p=p, redact_prob=table)
+    else:
+        table = rng.choice([0.0, 1.0], size=(n, 2))
+        coin_records = {
+            "coins at 7, 8, 9, 16, n": [t for t in (7, 8, 9, 16, n) if t <= n],
+            "no coin": [],
+            "every row a coin": range(1, n + 1),
+            "one coin": [int(rng.integers(1, n + 1))],
+        }[entries]
+        for t in coin_records:
+            table[t - 1, rng.integers(2)] = rng.random()  # the other entry stays 0 or 1
+        # The sampler never reads p, so a random private row is allowed here.
+        mech = RedactionMechanism(n=n, p=p, redact_prob=table, enforce_private_redaction=False)
     trials = max(2, 20_000 // n)
     mc = monte_carlo_utility(model, mech, trials=trials, seed=5).monte_carlo
     assert (mc.estimate, mc.standard_error) == loop_monte_carlo(model, mech, trials, 5)
+
+
+@pytest.mark.parametrize("n,alpha,beta,p,eps,trials", [
+    (1, 0.25, 0.5, 1, 1.0, 50),
+    (9, 0.3, 0.3, 4, 0.5, 3000),
+    (300, 0.05, 0.6, 100, 1.0, 400),
+    (1000, 0.01, 0.8, 1, 2.0, 70),
+])
+def test_monte_carlo_of_a_0_1_table_draws_no_coin(n, alpha, beta, p, eps, trials):
+    """A table of 0s and 1s (every Markov-quilt window) needs no coin: the
+    estimate and standard error are those of the per-path redaction counts
+    over the path stream's states alone, bit for bit."""
+    model = MarkovModel(n, alpha, beta)
+    windows = [build_mq(model, p, eps)[1].redact_prob]
+    windows.append(np.random.default_rng(n).choice([0.0, 1.0], size=(n, 2)))
+    for table in windows:
+        mech = RedactionMechanism(n=n, p=p, redact_prob=table, enforce_private_redaction=False)
+        for seed in (0, 11):
+            path_stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+            states = loop_states(model, path_stream.random((trials, n)))
+            counts = table[np.arange(n)[None, :], states].sum(axis=1)
+            per_path = 1.0 - counts / n
+            mc = monte_carlo_utility(model, mech, trials=trials, seed=seed).monte_carlo
+            assert mc.estimate == float(per_path.mean())
+            assert mc.standard_error == float(per_path.std(ddof=1) / math.sqrt(trials))
 
 
 def test_monte_carlo_full_redaction_exact_zero():
@@ -186,11 +230,20 @@ def test_input_validation():
     assert report.monte_carlo == monte_carlo_utility(EXAMPLE_MODEL, EXAMPLE_MECH, 10, 3).monte_carlo
 
 
-@pytest.mark.parametrize("n,trials,limit_mb", [(1_000, 1_000, 4), (100_000, 10, 8)])
-def test_monte_carlo_memory_stays_in_chunks(n, trials, limit_mb):
-    """The sampler's traced peak stays near one chunk's arrays, not the whole (trials, n) draw."""
-    model = MarkovModel(n, 0.05, 0.6)
-    _, window = build_mq(model, n // 2, 1.0)
+@pytest.mark.parametrize(
+    "n,trials,limit_mb,alpha,beta,build",
+    [
+        pytest.param(1_000, 1_000, 4, 0.05, 0.6, build_mq, id="1000-1000-4"),
+        pytest.param(100_000, 10, 8, 0.05, 0.6, build_mq, id="100000-10-8"),
+        # 434 of the 1,000 rows are random: a whole (trials, k) coin draw would hold 35 MB.
+        pytest.param(1_000, 10_000, 4, 0.001, 0.004, build_3r_relaxation, id="3r-1000-10000-4"),
+    ],
+)
+def test_monte_carlo_memory_stays_in_chunks(n, trials, limit_mb, alpha, beta, build):
+    """The sampler's traced peak stays near one chunk's arrays, not the whole
+    (trials, n) path draw or (trials, k) coin draw."""
+    model = MarkovModel(n, alpha, beta)
+    _, window = build(model, n // 2, 1.0)
     tracemalloc.start()
     try:
         monte_carlo_utility(model, window, trials=trials, seed=1)
