@@ -155,13 +155,10 @@ def test_monte_carlo_equals_the_record_loop_at_byte_edges(n, alpha, beta, entrie
     model = MarkovModel(n, alpha, beta)
     rng = np.random.default_rng(n)
     p = (n + 1) // 2
-    if entries in ("0/1", "r0 > r1"):
-        if entries == "0/1":
-            table = rng.choice([0.0, 1.0, 0.5], size=(n, 2))
-        else:
-            table = -np.sort(-rng.random((n, 2)), axis=1)  # r_t(0) >= r_t(1)
-        table[p - 1] = 1.0
-        mech = RedactionMechanism(n=n, p=p, redact_prob=table)
+    if entries == "0/1":
+        table = rng.choice([0.0, 1.0, 0.5], size=(n, 2))
+    elif entries == "r0 > r1":
+        table = -np.sort(-rng.random((n, 2)), axis=1)  # r_t(0) >= r_t(1)
     else:
         table = rng.choice([0.0, 1.0], size=(n, 2))
         coin_records = {
@@ -172,8 +169,10 @@ def test_monte_carlo_equals_the_record_loop_at_byte_edges(n, alpha, beta, entrie
         }[entries]
         for t in coin_records:
             table[t - 1, rng.integers(2)] = rng.random()  # the other entry stays 0 or 1
-        # The sampler never reads p, so a random private row is allowed here.
-        mech = RedactionMechanism(n=n, p=p, redact_prob=table, enforce_private_redaction=False)
+    if entries in ("0/1", "r0 > r1"):
+        table[p - 1] = 1.0
+    # The sampler never reads p, so the coin tables may leave row p random.
+    mech = RedactionMechanism(n=n, p=p, redact_prob=table, enforce_private_redaction=False)
     trials = max(2, 20_000 // n)
     mc = monte_carlo_utility(model, mech, trials=trials, seed=5).monte_carlo
     assert (mc.estimate, mc.standard_error) == loop_monte_carlo(model, mech, trials, 5)
